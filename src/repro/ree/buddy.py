@@ -17,7 +17,8 @@ and *insensitive to memory pressure* — the contrast with CMA migration.
 from __future__ import annotations
 
 import heapq
-from typing import List
+from itertools import islice
+from typing import Dict, List
 
 from ..config import MemorySpec
 from ..errors import OutOfMemory
@@ -35,8 +36,9 @@ class BuddyAllocator:
         self._free_outside: List[int] = []
         self._cma_frames = set()
         #: allocations whose pages may be dropped under memory pressure
-        #: (stress-ng pressure pages, clean page cache).
-        self._reclaimable: List = []
+        #: (stress-ng pressure pages, clean page cache), by id in
+        #: registration order.
+        self._reclaimable: Dict[int, Allocation] = {}
         self.reclaimed_frames = 0
 
     def attach_cma(self, region) -> None:
@@ -64,11 +66,8 @@ class BuddyAllocator:
     # reclaim (memory-pressure relief)
     # ------------------------------------------------------------------
     def register_reclaimable(self, alloc: Allocation) -> None:
-        self._reclaimable.append(alloc)
-
-    def unregister_reclaimable(self, alloc: Allocation) -> None:
-        if alloc in self._reclaimable:
-            self._reclaimable.remove(alloc)
+        """Let reclaim drop ``alloc``'s pages until it is freed."""
+        self._reclaimable[alloc.alloc_id] = alloc
 
     def reclaim_outside(self, n_frames: int) -> int:
         """Drop up to ``n_frames`` reclaimable pages outside CMA regions.
@@ -77,12 +76,15 @@ class BuddyAllocator:
         free pool).  Models the kernel shrinking page cache / pressure
         pages when an allocation cannot otherwise be satisfied.
         """
+        cma = self._cma_frames
         freed = 0
-        for alloc in list(self._reclaimable):
+        for alloc in list(self._reclaimable.values()):
             if freed >= n_frames:
                 break
-            victims = [f for f in alloc.frames if f not in self._cma_frames]
-            take = victims[: n_frames - freed]
+            # Victims in the allocation's own frame order, taken lazily:
+            # the allocation may be a multi-GB stress mapping.
+            victims = (f for f in alloc.frames if f not in cma)
+            take = list(islice(victims, n_frames - freed))
             if not take:
                 continue
             self.db.release_frames(alloc, take)
@@ -90,7 +92,7 @@ class BuddyAllocator:
             freed += len(take)
             self.reclaimed_frames += len(take)
             if alloc.freed:
-                self._reclaimable.remove(alloc)
+                del self._reclaimable[alloc.alloc_id]
         return freed
 
     def allocate(self, n_frames: int, movable: bool, tag: str = "") -> Allocation:
@@ -139,8 +141,10 @@ class BuddyAllocator:
             remaining -= len(spilled)
         return self.db.claim(frames, movable=movable, tag=tag)
 
-    def allocate_one_outside(self, tag: str = "migration-dest") -> Allocation:
-        """Migration destination: strictly outside every CMA region.
+    def take_frame_outside(self) -> int:
+        """Migration destination: one free frame strictly outside every
+        CMA region, removed from the pool but left unowned in the frame
+        database for the caller to move a page into.
 
         Falls back to dropping a reclaimable page when outside memory is
         exhausted — the behaviour that lets CMA allocation proceed under
@@ -150,12 +154,13 @@ class BuddyAllocator:
             self.reclaim_outside(1)
         if not self._free_outside:
             raise OutOfMemory("no free frames outside CMA for migration")
-        frame = heapq.heappop(self._free_outside)
-        return self.db.claim([frame], movable=True, tag=tag)
+        return heapq.heappop(self._free_outside)
 
     def free(self, alloc: Allocation) -> None:
+        """Release ``alloc``; a freed allocation is never reclaimed."""
         frames = list(alloc.frames)
         self.db.release(alloc)
+        self._reclaimable.pop(alloc.alloc_id, None)
         self.return_frames(frames)
 
     def return_frames(self, frames: List[int]) -> None:

@@ -107,13 +107,6 @@ class CMARegion:
     def size_bytes(self) -> int:
         return self.n_frames * self.db.granule
 
-    def occupied_frames_in(self, start: int, count: int) -> int:
-        return sum(
-            1
-            for frame in range(start, start + count)
-            if self.db.state(frame) is not FrameState.FREE
-        )
-
     # ------------------------------------------------------------------
     # buddy spill interface (movable pages parked in the region)
     # ------------------------------------------------------------------
@@ -226,11 +219,7 @@ class CMARegion:
                 "frame %d transiently pinned during migration out of %s"
                 % (frame, self.name)
             )
-        dest_alloc = self.buddy.allocate_one_outside()
-        dest = next(iter(dest_alloc.frames))
-        # The destination granule joins the owner allocation; the
-        # placeholder allocation record is dropped.
-        self.db.release(dest_alloc)
+        dest = self.buddy.take_frame_outside()
         if self.memory is not None:
             self.memory.copy_range(
                 self.db.frame_addr(frame), self.db.frame_addr(dest), self.db.granule

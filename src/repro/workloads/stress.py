@@ -75,7 +75,6 @@ class MemoryStress:
         if not self._running:
             raise ConfigurationError("stress not running")
         for alloc in self.allocs:
-            self.kernel.buddy.unregister_reclaimable(alloc)
             if not alloc.freed:
                 self.kernel.free(alloc)
         self.allocs = []
@@ -137,7 +136,6 @@ class MemoryStress:
             return
         self._running = False
         for alloc in self.allocs:
-            self.kernel.buddy.unregister_reclaimable(alloc)
             if not alloc.freed:
                 self.kernel.free(alloc)
         self.allocs = []

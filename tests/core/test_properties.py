@@ -173,9 +173,7 @@ def test_frame_db_never_double_owns(actions):
             if slot in live and buddy.free_outside_cma >= 1:
                 alloc = live[slot]
                 old = next(iter(alloc.frames))
-                dest_holder = buddy.allocate_one_outside()
-                dest = next(iter(dest_holder.frames))
-                db.release(dest_holder)
+                dest = buddy.take_frame_outside()
                 db.move_frame(alloc, old, dest)
         # Invariants: ownership is exclusive and states match owners.
         owners = {}

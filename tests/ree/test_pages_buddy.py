@@ -1,11 +1,15 @@
 """Unit tests for the frame database and buddy allocator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import PAGE_SIZE
+from repro.config import PAGE_SIZE, MemorySpec
 from repro.errors import ConfigurationError, MemoryError_, OutOfMemory
 from repro.ree.buddy import BuddyAllocator
+from repro.ree.cma import CMARegion
 from repro.ree.pages import FrameDB, FrameState
+from repro.sim import Simulator
 
 PG = PAGE_SIZE
 
@@ -154,8 +158,6 @@ def test_buddy_free_returns_frames():
 
 
 def test_buddy_alloc_seconds_linear():
-    from repro.config import MemorySpec
-
     db = make_db(8)
     buddy = make_buddy(db)
     spec = MemorySpec()
@@ -170,3 +172,91 @@ def test_buddy_lowest_index_first_determinism():
     buddy.free(a)
     b = buddy.allocate(4, movable=True)
     assert sorted(b.frames) == [0, 1, 2, 3]
+
+
+def test_freed_reclaimable_allocation_is_never_reclaimed():
+    # A freed allocation keeps its frame set.  Were it still registered,
+    # reclaim would free frames that now belong to whoever reused them.
+    db = make_db(16)
+    buddy = make_buddy(db)
+    stale = buddy.allocate(4, movable=True)
+    buddy.register_reclaimable(stale)
+    buddy.free(stale)
+    reuser = buddy.allocate(4, movable=True)
+    assert buddy.reclaim_outside(2) == 0
+    fresh = buddy.allocate(2, movable=True)
+    assert reuser.frames == {0, 1, 2, 3}
+    assert not reuser.frames & fresh.frames
+
+
+def eager_victims(allocs, cma_frames, n_frames):
+    """Reference victim selection: every non-CMA frame of each
+    reclaimable allocation, in its frame order, cut to what is still
+    owed.  Returns ``(alloc_id, frames)`` per allocation reclaimed from."""
+    picked = []
+    freed = 0
+    for alloc in allocs:
+        if freed >= n_frames:
+            break
+        victims = [f for f in alloc.frames if f not in cma_frames]
+        take = victims[: n_frames - freed]
+        if take:
+            picked.append((alloc.alloc_id, take))
+            freed += len(take)
+    return picked
+
+
+@given(
+    cma_start=st.integers(min_value=0, max_value=32),
+    cma_size=st.integers(min_value=8, max_value=32),
+    plan=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=12),
+            st.sampled_from(["reclaimable", "pinned", "hole"]),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    requests=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_reclaim_outside_matches_eager_victim_selection(cma_start, cma_size, plan, requests):
+    db = make_db(64)
+    buddy = BuddyAllocator(db)
+    region = CMARegion(Simulator(), db, buddy, None, cma_start, cma_size, MemorySpec())
+    buddy.finalize()
+    cma_frames = set(range(region.start_frame, region.end_frame))
+    # Movable allocations straddle the region once it holds most free
+    # memory; freeing the holes afterwards interleaves the free pool.
+    registered, holes = [], []
+    for size, role in plan:
+        if size > buddy.free_outside_cma + buddy.free_inside_cma:
+            break
+        alloc = buddy.allocate(size, movable=True)
+        if role == "reclaimable":
+            buddy.register_reclaimable(alloc)
+            registered.append(alloc)
+        elif role == "hole":
+            holes.append(alloc)
+    for alloc in holes:
+        buddy.free(alloc)
+
+    released = []
+    release_frames = db.release_frames
+
+    def spy(alloc, frames):
+        released.append((alloc.alloc_id, list(frames)))
+        release_frames(alloc, frames)
+
+    db.release_frames = spy
+    for n_frames in requests:
+        live = [alloc for alloc in registered if not alloc.freed]
+        expected = eager_victims(live, cma_frames, n_frames)
+        before = buddy.reclaimed_frames
+        released.clear()
+        freed = buddy.reclaim_outside(n_frames)
+        assert released == expected
+        assert freed == sum(len(take) for _, take in expected) <= n_frames
+        assert buddy.reclaimed_frames - before == freed
+        # Fully drained allocations leave the list; the rest keep their order.
+        assert list(buddy._reclaimable.values()) == [a for a in live if not a.freed]

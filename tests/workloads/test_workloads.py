@@ -154,7 +154,10 @@ def test_geekbench_migration_slowdown_uses_real_records():
 # ---------------------------------------------------------------------------
 # stress
 # ---------------------------------------------------------------------------
-def test_stress_spills_into_cma_and_survives_migration():
+@pytest.mark.parametrize(
+    "stress_frames, full", [(220, False), (256, True)], ids=["spare-outside", "full-memory"]
+)
+def test_stress_spills_into_cma_and_survives_migration(stress_frames, full):
     from repro.config import PAGE_SIZE
 
     stack = build_stack(
@@ -163,17 +166,23 @@ def test_stress_spills_into_cma_and_survives_migration():
         os_footprint=0,
         cma_regions={"params": 64 * PAGE_SIZE},
     )
-    stress = MemoryStress(stack.kernel, 220 * PAGE_SIZE, headroom=0)
+    stress = MemoryStress(stack.kernel, stress_frames * PAGE_SIZE, headroom=0)
     stress.start()
     assert stress.frames_in_cma() > 0
     region = stack.kernel.cma_regions["params"]
+    # The spill fills the region from its top, so carve the top run.
     proc = stack.sim.process(
-        region.allocate_range(region.start_frame, 16, threads=1)
+        region.allocate_range(region.end_frame - 16, 16, threads=1)
     )
     stack.sim.run_until(proc)
-    # Some pages migrated or were reclaimed; survivors keep their data.
+    migrated = region.total_migrated_bytes // PAGE_SIZE
+    assert migrated > 0
+    # With memory full, every migration destination is a reclaimed
+    # stress page; otherwise free frames outside the region suffice.
+    assert stack.kernel.buddy.reclaimed_frames == (migrated if full else 0)
+    # Migrated pages keep their data.
     checked = stress.verify_surviving_pages()
-    assert checked > 0
+    assert checked == stress_frames - stack.kernel.buddy.reclaimed_frames
     stress.stop()
 
 
