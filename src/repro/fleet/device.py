@@ -125,20 +125,18 @@ class DeviceNode:
         return lane is not None and lane.breaker.state == "open"
 
     def outstanding(self) -> int:
-        """Queued plus running — the router's load signal."""
-        return self.gateway.queue_depth + sum(
-            len(lane.running) for lane in self.gateway.lanes.values()
-        )
+        """Queued plus running — the router's load signal, read from the
+        counts the gateway keeps as requests queue, dispatch and finish."""
+        gateway = self.gateway
+        return gateway.queue_depth + gateway.running_count
 
     def model_warm(self, model_id: str) -> bool:
-        """The model's parameters are resident (no cold restore needed)."""
-        resident = getattr(self.system, "resident_models", None)
-        if resident is not None:
-            return model_id in resident()
-        # Full-fidelity systems: a TA with cached parameter groups counts.
+        """The model's parameters are resident (no cold restore needed):
+        a surrogate TA's resident flag, or — on full-fidelity systems — a
+        TA with cached parameter groups."""
         tas = getattr(self.system, "tas", None)
         ta = tas.get(model_id) if tas is not None else getattr(self.system, "ta", None)
-        return bool(getattr(ta, "cached_groups", 0))
+        return bool(getattr(ta, "resident", False) or getattr(ta, "cached_groups", 0))
 
     def session_hit_tokens(self, request: FleetRequest) -> int:
         """KV tokens this device can reuse for the request's session."""

@@ -185,9 +185,6 @@ class SurrogateLLM:
         """Pre-load a model (provisioning-time warm-up, no clock cost)."""
         self._make_resident(self._ta(model_id))
 
-    def resident_models(self) -> List[str]:
-        return sorted(m for m, ta in self.tas.items() if ta.resident)
-
     def _ta(self, model_id: str) -> _SurrogateTA:
         try:
             return self.tas[model_id]

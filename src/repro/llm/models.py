@@ -10,6 +10,7 @@ computed from these specs — no magic totals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List
 
 from ..config import GB
@@ -104,8 +105,11 @@ class ModelSpec:
             + self.lm_head_params
         )
 
-    @property
+    @cached_property
     def param_bytes(self) -> int:
+        # Computed once: the fleet surrogate re-reads it for every TA on
+        # every request.  (cached_property writes the instance __dict__
+        # directly, so it works on this frozen dataclass.)
         return int(self.total_params * self.bytes_per_param)
 
     # runtime footprints -------------------------------------------------

@@ -74,13 +74,30 @@ class _Instrument:
 
     kind = "untyped"
 
-    __slots__ = ("name", "help", "_values")
+    __slots__ = ("name", "help", "_values", "_keys")
 
     def __init__(self, name, help=""):
         _check_name(name)
         self.name = name
         self.help = help
         self._values = {}
+        self._keys = {}
+
+    def _key(self, labels):
+        """The canonical series key of a write's labels, memoized per
+        call-site label set.
+
+        The memo is keyed on the label names in call order plus each
+        value *as rendered*, so values that compare equal but render
+        differently (``1``, ``1.0``, ``True``) never share an entry.
+        Invalid label names raise before anything is stored, so they
+        raise on every call.
+        """
+        raw = (*labels, *map(str, labels.values()))
+        key = self._keys.get(raw)
+        if key is None:
+            key = self._keys[raw] = _label_key(labels)
+        return key
 
     def value(self, **labels):
         """Current value for a label set (0.0 when never touched)."""
@@ -118,11 +135,13 @@ class Counter(_Instrument):
 
     def inc(self, amount=1, **labels):
         """Add ``amount`` (must be >= 0) to the label set's series."""
+        self._inc(self._key(labels), amount)
+
+    def _inc(self, key, amount):
         if amount < 0:
             raise ConfigurationError(
                 "counter %s cannot decrease (inc %r)" % (self.name, amount)
             )
-        key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
 
@@ -134,11 +153,16 @@ class Gauge(_Instrument):
 
     def set(self, value, **labels):
         """Set the label set's series to ``value``."""
-        self._values[_label_key(labels)] = float(value)
+        self._set(self._key(labels), value)
+
+    def _set(self, key, value):
+        self._values[key] = float(value)
 
     def inc(self, amount=1, **labels):
         """Add ``amount`` (may be negative) to the label set's series."""
-        key = _label_key(labels)
+        self._inc(self._key(labels), amount)
+
+    def _inc(self, key, amount):
         self._values[key] = self._values.get(key, 0.0) + amount
 
     def dec(self, amount=1, **labels):
@@ -161,7 +185,9 @@ class Histogram(_Instrument):
 
     def observe(self, value, **labels):
         """Record one observation into the label set's series."""
-        key = _label_key(labels)
+        self._observe(self._key(labels), value)
+
+    def _observe(self, key, value):
         series = self._values.get(key)
         if series is None:
             series = {"buckets": [0] * len(self.buckets), "sum": 0.0, "count": 0}
@@ -195,13 +221,17 @@ class _BoundInstrument:
     device with the registry's usual deterministic ordering (label keys
     are canonically sorted, so ``device`` interleaves alphabetically no
     matter which device wrote first).
+
+    Writes memoize the full series key per call-site label set (see
+    :meth:`_Instrument._key`) and go straight to the parent's series.
     """
 
-    __slots__ = ("_inst", "_constant")
+    __slots__ = ("_inst", "_constant", "_keys")
 
     def __init__(self, inst, constant):
         self._inst = inst
         self._constant = dict(constant)
+        self._keys = {}
 
     # -- passthrough identity ------------------------------------------
     @property
@@ -231,18 +261,27 @@ class _BoundInstrument:
         merged.update(labels)
         return merged
 
+    def _key(self, labels):
+        """Like :meth:`_Instrument._key`, with the constant labels merged
+        in; a label that redefines one raises on every call."""
+        raw = (*labels, *map(str, labels.values()))
+        key = self._keys.get(raw)
+        if key is None:
+            key = self._keys[raw] = _label_key(self._merge(labels))
+        return key
+
     # -- writes --------------------------------------------------------
     def inc(self, amount=1, **labels):
-        return self._inst.inc(amount, **self._merge(labels))
+        self._inst._inc(self._key(labels), amount)
 
     def set(self, value, **labels):
-        return self._inst.set(value, **self._merge(labels))
+        self._inst._set(self._key(labels), value)
 
     def dec(self, amount=1, **labels):
-        return self._inst.dec(amount, **self._merge(labels))
+        self.inc(-amount, **labels)
 
     def observe(self, value, **labels):
-        return self._inst.observe(value, **self._merge(labels))
+        self._inst._observe(self._key(labels), value)
 
     # -- reads ---------------------------------------------------------
     def value(self, **labels):
@@ -272,7 +311,8 @@ class ChildRegistry:
     everything it records lands in the parent's instruments with
     ``device="dev0"`` attached, so per-device series aggregate in one
     deterministic Prometheus export.  Children nest (labels merge) and
-    may not redefine a parent label.
+    may not redefine a parent label.  Each instrument gets one view per
+    child, made on first request and handed out on every later one.
     """
 
     def __init__(self, parent, constant_labels):
@@ -281,21 +321,28 @@ class ChildRegistry:
             raise ConfigurationError("child registry needs at least one label")
         self.parent = parent
         self.constant_labels = dict(constant_labels)
+        self._views = {}
+
+    def _view(self, cls, name, help, **kwargs):
+        view = self._views.get(name)
+        if view is None or not isinstance(view._inst, cls):
+            # On a kind mismatch the parent raises ConfigurationError.
+            inst = self.parent._get_or_create(cls, name, help, **kwargs)
+            view = self._views[name] = _BoundInstrument(inst, self.constant_labels)
+        return view
 
     def counter(self, name, help=""):
-        return _BoundInstrument(self.parent.counter(name, help), self.constant_labels)
+        return self._view(Counter, name, help)
 
     def gauge(self, name, help=""):
-        return _BoundInstrument(self.parent.gauge(name, help), self.constant_labels)
+        return self._view(Gauge, name, help)
 
     def histogram(self, name, help="", buckets=DEFAULT_BUCKETS):
-        return _BoundInstrument(
-            self.parent.histogram(name, help, buckets=buckets), self.constant_labels
-        )
+        return self._view(Histogram, name, help, buckets=buckets)
 
     def get(self, name):
         inst = self.parent.get(name)
-        return None if inst is None else _BoundInstrument(inst, self.constant_labels)
+        return None if inst is None else self._view(type(inst), name, inst.help)
 
     def child(self, **labels):
         for key in labels:

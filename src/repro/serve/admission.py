@@ -76,11 +76,18 @@ class AdmissionController:
         self.policies = policies
         self.predictor = predictor or ServiceTimePredictor()
         self.shedding = shedding
+        model_ids = list(model_ids)
         self.queues: Dict[Tuple[str, PriorityClass], Deque[ServeRequest]] = {
             (model_id, cls): deque()
             for model_id in model_ids
             for cls in PriorityClass
         }
+        #: queued counts per model, per class (over every model) and in
+        #: total, kept where the deques change (:meth:`_count`) so the
+        #: load signals read on every request cost no walk over queues.
+        self._model_depth: Dict[str, int] = {model_id: 0 for model_id in model_ids}
+        self._class_depth: Dict[PriorityClass, int] = {cls: 0 for cls in PriorityClass}
+        self.queued = 0
         self.admitted = 0
         self.rejected_queue_full = 0
         self.rejected_slo = 0
@@ -90,7 +97,19 @@ class AdmissionController:
         return len(self.queues[(model_id, cls)])
 
     def total_depth(self, model_id: str) -> int:
-        return sum(len(self.queues[(model_id, cls)]) for cls in PriorityClass)
+        """Requests queued for one model, over every class."""
+        return self._model_depth[model_id]
+
+    def class_depth(self, cls: PriorityClass) -> int:
+        """Requests of one class queued, over every model."""
+        return self._class_depth[cls]
+
+    def _count(self, request: ServeRequest, delta: int) -> None:
+        """Move the kept counts by ``delta`` requests of ``request``'s
+        model and class — called wherever a deque grows or shrinks."""
+        self._model_depth[request.model_id] += delta
+        self._class_depth[request.priority] += delta
+        self.queued += delta
 
     def queued_ahead(self, model_id: str, cls: PriorityClass, scheduling: str) -> List[ServeRequest]:
         """Requests already queued that would dispatch before a new
@@ -133,12 +152,14 @@ class AdmissionController:
                     request=request,
                 )
         queue.append(request)
+        self._count(request, 1)
         self.admitted += 1
 
     def requeue_front(self, request: ServeRequest) -> None:
         """Put a preempted victim back at the head of its class queue
         (it keeps its arrival-order claim within the class)."""
         self.queues[(request.model_id, request.priority)].appendleft(request)
+        self._count(request, 1)
 
     def remove(self, request: ServeRequest) -> bool:
         """Pull a still-queued request back out (cancellation / drain).
@@ -154,6 +175,7 @@ class AdmissionController:
             queue.remove(request)
         except ValueError:
             return False
+        self._count(request, -1)
         return True
 
     def drain(self, model_id: Optional[str] = None) -> List[ServeRequest]:
@@ -166,7 +188,9 @@ class AdmissionController:
                 continue
             queue = self.queues[(mid, cls)]
             while queue:
-                drained.append(queue.popleft())
+                request = queue.popleft()
+                self._count(request, -1)
+                drained.append(request)
         return drained
 
     def peek_next(self, model_id: str, scheduling: str) -> Optional[ServeRequest]:
@@ -195,21 +219,8 @@ class AdmissionController:
         ``fifo``: the globally oldest queued request (by request id, which
         is monotonically assigned at submission).
         """
-        if scheduling == "priority":
-            for cls in PriorityClass:
-                queue = self.queues[(model_id, cls)]
-                if queue:
-                    return queue.popleft()
-            return None
-        if scheduling != "fifo":
-            raise ConfigurationError("scheduling must be 'priority' or 'fifo'")
-        best_cls: Optional[PriorityClass] = None
-        best_id: Optional[int] = None
-        for cls in PriorityClass:
-            queue = self.queues[(model_id, cls)]
-            if queue and (best_id is None or queue[0].request_id < best_id):
-                best_cls = cls
-                best_id = queue[0].request_id
-        if best_cls is None:
-            return None
-        return self.queues[(model_id, best_cls)].popleft()
+        request = self.peek_next(model_id, scheduling)
+        if request is not None:
+            self.queues[(model_id, request.priority)].popleft()
+            self._count(request, -1)
+        return request

@@ -129,10 +129,13 @@ class _Lane:
         self.running.append(request)
         self.gates[request.request_id] = gate
 
-    def remove(self, request: ServeRequest) -> None:
+    def remove(self, request: ServeRequest) -> bool:
+        """Unseat ``request``; True when it was running here."""
+        self.gates.pop(request.request_id, None)
         if request in self.running:
             self.running.remove(request)
-        self.gates.pop(request.request_id, None)
+            return True
+        return False
 
 
 class ServeGateway:
@@ -206,6 +209,10 @@ class ServeGateway:
             if m in self._tas:
                 capacity = self._tas[m].batch_engine.config.max_batch_size
             self.lanes[m] = _Lane(m, breaker, capacity=capacity)
+        #: requests seated on any lane, kept where lanes seat and unseat
+        #: them — with the admission controller's queued count, the
+        #: fleet router's O(1) load signal.
+        self.running_count = 0
         self.predictor = ServiceTimePredictor(alpha=self.config.predictor_alpha)
         self.admission = AdmissionController(
             model_ids,
@@ -304,7 +311,7 @@ class ServeGateway:
             request.log_line("admit", now, "depth=%d" % self.admission.depth(model_id, cls))
         )
         self.accountant.note_admitted(cls)
-        self.accountant.note_queue_depth(cls, self.admission.depth(model_id, cls))
+        self.accountant.note_queue_depth(cls, self.admission.class_depth(cls))
         # Flow start: the arrival instant, inside the request's eventual
         # gateway queue span — the other legs are emitted by the prefill
         # pipeline (TEE lanes) and at completion.
@@ -346,8 +353,7 @@ class ServeGateway:
         if request.state == "queued" and self.admission.remove(request):
             self._finalize_cancelled(request, reason)
             self.accountant.note_queue_depth(
-                request.priority,
-                self.admission.depth(request.model_id, request.priority),
+                request.priority, self.admission.class_depth(request.priority)
             )
             return True
         gate = self.lanes[request.model_id].gates.get(request.request_id)
@@ -368,11 +374,8 @@ class ServeGateway:
             request.cancel_requested = True
             request.cancel_reason = reason
             self._finalize_cancelled(request, reason)
-        for model_id in self.lanes:
-            for cls in PriorityClass:
-                self.accountant.note_queue_depth(
-                    cls, self.admission.depth(model_id, cls)
-                )
+        for cls in PriorityClass:
+            self.accountant.note_queue_depth(cls, self.admission.class_depth(cls))
         return drained
 
     def _finalize_cancelled(self, request: ServeRequest, reason: str) -> None:
@@ -518,10 +521,11 @@ class ServeGateway:
             if lane.breaker.state != "closed":
                 lane.breaker.on_dispatch()  # this request is the probe
             self.accountant.note_queue_depth(
-                request.priority, self.admission.depth(model_id, request.priority)
+                request.priority, self.admission.class_depth(request.priority)
             )
             gate = PreemptionGate()
             lane.add(request, gate)
+            self.running_count += 1
             lane.dispatched_at = self.sim.now
             self.sim.process(
                 self._run_attempt(lane, request, gate),
@@ -563,14 +567,12 @@ class ServeGateway:
         try:
             record = yield from self._infer(request, gate)
         except Exception as exc:
-            self.accountant.note_release(lane.model_id)
-            lane.remove(request)
+            self._release(lane, request)
             self._handle_failure(lane, request, exc, span_start)
             self._maybe_dispatch(lane.model_id)
             return
         lane.breaker.record_success()
-        self.accountant.note_release(lane.model_id)
-        lane.remove(request)
+        self._release(lane, request)
         elapsed = self.sim.now - span_start
         if self.tracer.enabled:
             self.tracer.record(
@@ -598,7 +600,7 @@ class ServeGateway:
             self.accountant.note_preemption(request.priority)
             self.admission.requeue_front(request)
             self.accountant.note_queue_depth(
-                request.priority, self.admission.depth(lane.model_id, request.priority)
+                request.priority, self.admission.class_depth(request.priority)
             )
             self.log.append(
                 request.log_line("requeue", self.sim.now, "preemptions=%d" % request.preemptions)
@@ -630,6 +632,12 @@ class ServeGateway:
             )
             request.completion.succeed(request)
         self._maybe_dispatch(lane.model_id)
+
+    def _release(self, lane: _Lane, request: ServeRequest) -> None:
+        """The attempt left the TA: close its busy interval, unseat it."""
+        self.accountant.note_release(lane.model_id)
+        if lane.remove(request):
+            self.running_count -= 1
 
     def _handle_failure(self, lane: _Lane, request: ServeRequest, exc: BaseException, span_start: float) -> None:
         """A dispatch died inside the TA: classify, retry or fail.
@@ -673,7 +681,7 @@ class ServeGateway:
                     retries=request.failure_count,
                 )
             self.accountant.note_queue_depth(
-                request.priority, self.admission.depth(lane.model_id, request.priority)
+                request.priority, self.admission.class_depth(request.priority)
             )
             self.log.append(
                 request.log_line(
@@ -745,7 +753,7 @@ class ServeGateway:
 
     @property
     def queue_depth(self) -> int:
-        return sum(self.admission.total_depth(m) for m in self.lanes)
+        return self.admission.queued
 
     def health(self) -> Dict[str, object]:
         """One JSON-stable snapshot of gateway health at the current time:

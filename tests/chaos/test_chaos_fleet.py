@@ -55,8 +55,11 @@ def _platforms(n=4):
     ]
 
 
-def run_fleet_chaos(seed):
-    """One full chaos replay: 4 devices, 1 crash + 1 gray, hedging on."""
+def run_fleet_chaos(seed, on_fleet=None):
+    """One full chaos replay: 4 devices, 1 crash + 1 gray, hedging on.
+
+    ``on_fleet`` sees the fleet once it is built, before any traffic.
+    """
     fleet = Fleet(
         _platforms(),
         [TINYLLAMA],
@@ -64,6 +67,8 @@ def run_fleet_chaos(seed):
         warm=True,
         resilience=ResilienceConfig(),
     )
+    if on_fleet is not None:
+        on_fleet(fleet)
     plan = FaultPlan(
         seed,
         generate_fault_schedule(
@@ -130,3 +135,38 @@ def test_fleet_chaos_slo_accounting_never_double_charges(seed):
         with_verdict
     )
     assert sum(1 for t in with_verdict if t.slo_attained) == attained
+
+
+def _recounted_outstanding(device):
+    """Queued plus running, recomputed from the gateway's queues and lanes."""
+    gateway = device.gateway
+    return sum(len(q) for q in gateway.admission.queues.values()) + sum(
+        len(lane.running) for lane in gateway.lanes.values()
+    )
+
+
+def test_fleet_chaos_load_signal_never_drifts(seed):
+    """The router's load signal is kept by each gateway as requests
+    queue, dispatch and finish.  At every placement (first routes,
+    failovers, hedges and device-down relaunches all rank through the
+    policy) it equals queued + running recomputed from the queues and
+    lanes — through the crash, the gray failure and hedge-loser cancels
+    — and every device drains to zero."""
+    placements = []
+
+    def check_every_placement(fleet):
+        policy = fleet.router.policy
+        rank = policy.rank
+
+        def checked_rank(devices, request, router):
+            for device in fleet.devices.values():
+                assert device.outstanding() == _recounted_outstanding(device)
+            placements.append(request)
+            return rank(devices, request, router)
+
+        policy.rank = checked_rank
+
+    fleet, gen, _ = run_fleet_chaos(seed, on_fleet=check_every_placement)
+    assert len(placements) >= len(gen.admitted) > 20
+    for device in fleet.devices.values():
+        assert device.outstanding() == _recounted_outstanding(device) == 0

@@ -53,10 +53,12 @@ def test_residency_budget_evicts_lru():
     config = SurrogateConfig(model_budget_bytes=QWEN25_3B.param_bytes + 1)
     system = SurrogateLLM([TINYLLAMA, QWEN25_3B], config=config)
     _run(system, TINYLLAMA.model_id, 8)
-    assert system.resident_models() == [TINYLLAMA.model_id]
+    assert system.tas[TINYLLAMA.model_id].resident
+    assert not system.tas[QWEN25_3B.model_id].resident
     # The larger model displaces the smaller one (budget fits only it).
     _run(system, QWEN25_3B.model_id, 8)
-    assert system.resident_models() == [QWEN25_3B.model_id]
+    assert system.tas[QWEN25_3B.model_id].resident
+    assert not system.tas[TINYLLAMA.model_id].resident
     record = _run(system, TINYLLAMA.model_id, 8)
     assert record.init_time > 0  # had to cold-restore again
 

@@ -146,3 +146,42 @@ def test_export_stable_under_label_insertion_order():
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
         b.to_dict(), sort_keys=True
     )
+
+
+# ----------------------------------------------------------------------
+# series-key memo: remembered per call-site label set, never conflating
+# ----------------------------------------------------------------------
+def test_equal_label_values_that_render_differently_stay_distinct():
+    """1, 1.0 and True (and 0.0 / -0.0) are equal dict keys but render
+    differently; repeated writes must keep landing on their own series."""
+    c = MetricsRegistry().counter("hits_total")
+    for _ in range(2):
+        for value in (1, 1.0, True, 0.0, -0.0):
+            c.inc(v=value)
+    assert c.samples() == [
+        ((("v", "-0.0"),), 2.0),
+        ((("v", "0.0"),), 2.0),
+        ((("v", "1"),), 2.0),
+        ((("v", "1.0"),), 2.0),
+        ((("v", "True"),), 2.0),
+    ]
+
+
+def test_label_order_at_the_call_site_addresses_one_series():
+    g = MetricsRegistry().gauge("depth")
+    g.set(1, a="x", b="y")
+    g.inc(2, b="y", a="x")
+    assert g.samples() == [((("a", "x"), ("b", "y")), 3.0)]
+
+
+def test_invalid_label_name_raises_on_every_call():
+    reg = MetricsRegistry()
+    for inst, write in (
+        (reg.counter("c_total"), lambda i: i.inc(**{"bad-name": "x"})),
+        (reg.gauge("g"), lambda i: i.set(1, **{"bad-name": "x"})),
+        (reg.histogram("h"), lambda i: i.observe(1.0, **{"bad-name": "x"})),
+    ):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                write(inst)
+        assert inst.samples() == []

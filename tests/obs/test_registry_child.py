@@ -79,3 +79,73 @@ def test_child_get_returns_bound_view_or_none():
     view = dev.get("up")
     assert view.value() == 1
     assert view.name == "up" and view.kind == "counter"
+
+
+# ----------------------------------------------------------------------
+# cached views and their series-key memo
+# ----------------------------------------------------------------------
+def test_repeated_fetches_return_one_view_writing_one_series():
+    reg = MetricsRegistry()
+    dev = reg.child(device="dev0")
+    first, second = dev.counter("reqs_total"), dev.counter("reqs_total")
+    assert first is second is dev.get("reqs_total")
+    first.inc(reason="x")
+    second.inc(2, reason="x")
+    assert reg.counter("reqs_total").samples() == [
+        ((("device", "dev0"), ("reason", "x")), 3.0)
+    ]
+
+
+def test_fetching_a_view_creates_no_series_before_the_first_write():
+    reg = MetricsRegistry()
+    reg.counter("reqs_total", "Requests.")
+    reg.histogram("lat_seconds", "Latency.", buckets=(0.1,))
+    before = reg.render()
+    dev = reg.child(device="dev0")
+    dev.counter("reqs_total")
+    dev.histogram("lat_seconds", buckets=(0.1,))
+    dev.get("reqs_total")
+    assert reg.render() == before
+    dev.counter("reqs_total").inc()
+    assert 'reqs_total{device="dev0"} 1' in reg.render().splitlines()
+
+
+def test_cached_view_keeps_kind_checks():
+    reg = MetricsRegistry()
+    dev = reg.child(device="dev0")
+    dev.counter("reqs_total").inc()
+    with pytest.raises(ConfigurationError):
+        dev.gauge("reqs_total")
+    with pytest.raises(ConfigurationError):
+        dev.histogram("reqs_total")
+    assert dev.counter("reqs_total").value() == 1
+
+
+def test_child_counter_rejects_negative_inc():
+    view = MetricsRegistry().child(device="dev0").counter("reqs_total")
+    view.inc(2, reason="x")
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            view.inc(-1, reason="x")
+    assert view.value(reason="x") == 2
+
+
+def test_child_label_errors_raise_on_every_call():
+    reg = MetricsRegistry()
+    view = reg.child(device="dev0").counter("reqs_total")
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            view.inc(**{"bad-name": "x"})
+        with pytest.raises(ConfigurationError):
+            view.inc(device="dev1")  # redefines the constant label
+    assert reg.counter("reqs_total").samples() == []
+
+
+def test_child_keeps_equal_but_differently_rendered_values_apart():
+    reg = MetricsRegistry()
+    gauge = reg.child(device="dev0").gauge("level")
+    for value in (1, 1.0, True):
+        gauge.set(5, v=value)
+        gauge.inc(1, v=value)
+    assert [dict(key)["v"] for key, _ in gauge.samples()] == ["1", "1.0", "True"]
+    assert {value for _, value in gauge.samples()} == {6.0}

@@ -1,10 +1,16 @@
 """Unit tests for admission control: bounded queues, EWMA shedding."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.serve import (
     AdmissionController,
+    AdmissionRejected,
+    ClassPolicy,
     PriorityClass,
     QueueFull,
     SLOUnattainable,
@@ -177,3 +183,88 @@ def test_queued_ahead_respects_scheduling_mode():
     assert sorted(r.request_id for r in ahead_fifo) == [1, 2]
     # A new background arrival waits behind everything in both modes.
     assert len(ctrl.queued_ahead(MODEL, PriorityClass.BACKGROUND, "priority")) == 2
+
+
+# ----------------------------------------------------------------------
+# kept counts: differential op-fuzz against sums over the deques
+# ----------------------------------------------------------------------
+FUZZ_MODELS = ("a", "b")
+_OPS = st.one_of(
+    st.tuples(
+        st.just("admit"),
+        st.sampled_from(FUZZ_MODELS),
+        st.sampled_from(list(PriorityClass)),
+        st.booleans(),  # predicted wait past every SLO: shed if the class has one
+    ),
+    st.tuples(st.just("requeue_front"), st.integers(0, 63)),
+    st.tuples(st.just("remove"), st.integers(0, 63)),
+    st.tuples(st.just("remove_absent"), st.integers(0, 63)),
+    st.tuples(st.just("drain"), st.sampled_from((None,) + FUZZ_MODELS)),
+    st.tuples(st.just("pop_next"), st.sampled_from(FUZZ_MODELS)),
+)
+
+
+def _kept_counts(ctrl):
+    return (
+        {m: ctrl.total_depth(m) for m in FUZZ_MODELS},
+        {c: ctrl.class_depth(c) for c in PriorityClass},
+        ctrl.queued,
+    )
+
+
+def _recounted(ctrl):
+    per_model = {
+        m: sum(len(ctrl.queues[(m, c)]) for c in PriorityClass) for m in FUZZ_MODELS
+    }
+    per_class = {
+        c: sum(len(ctrl.queues[(m, c)]) for m in FUZZ_MODELS) for c in PriorityClass
+    }
+    return per_model, per_class, sum(len(q) for q in ctrl.queues.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(scheduling=st.sampled_from(("priority", "fifo")), ops=st.lists(_OPS, max_size=80))
+def test_kept_counts_equal_the_queues_after_every_operation(scheduling, ops):
+    policies = {
+        cls: ClassPolicy(
+            queue_capacity=3,
+            ttft_slo=None if cls is PriorityClass.BACKGROUND else 5.0,
+        )
+        for cls in PriorityClass
+    }
+    ctrl = AdmissionController(FUZZ_MODELS, policies)
+    ids = itertools.count(1)
+    taken = []  # popped or drained: requeue candidates
+    # Never queued here: rejected arrivals and a request for a model the
+    # controller does not host.
+    absent = [make_request(0, PriorityClass.BATCH, model_id="elsewhere")]
+    for op in ops:
+        kind = op[0]
+        if kind == "admit":
+            _kind, model, cls, late = op
+            request = make_request(next(ids), cls, model_id=model)
+            try:
+                ctrl.admit(request, 100.0 if late else 0.0, scheduling)
+            except AdmissionRejected:
+                absent.append(request)
+        elif kind == "requeue_front":
+            if taken:
+                ctrl.requeue_front(taken.pop(op[1] % len(taken)))
+        elif kind == "remove":
+            queued = [r for queue in ctrl.queues.values() for r in queue]
+            if queued:
+                assert ctrl.remove(queued[op[1] % len(queued)])
+        elif kind == "remove_absent":
+            candidates = taken + absent
+            assert not ctrl.remove(candidates[op[1] % len(candidates)])
+        elif kind == "drain":
+            drained = ctrl.drain(op[1])
+            assert all(op[1] in (None, r.model_id) for r in drained)
+            taken.extend(drained)
+        else:
+            head = ctrl.peek_next(op[1], scheduling)
+            popped = ctrl.pop_next(op[1], scheduling)
+            assert popped is head
+            if popped is not None:
+                taken.append(popped)
+        assert _kept_counts(ctrl) == _recounted(ctrl)

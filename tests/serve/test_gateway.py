@@ -5,6 +5,7 @@ import pytest
 from repro.core import TZLLM
 from repro.core.multi import TZLLMMulti
 from repro.errors import ConfigurationError
+from repro.fleet import SurrogateLLM
 from repro.llm import TINYLLAMA
 from repro.serve import (
     GatewayConfig,
@@ -199,3 +200,28 @@ def test_gateway_routes_across_models():
     assert ra.done and rb.done
     # Both lanes ran concurrently: b never waited for a's lane.
     assert rb.dispatched_at == rb.arrived_at
+
+
+def test_queue_depth_gauge_is_the_class_total_over_models():
+    """serve_queue_depth{class} (and the accountant's per-class series)
+    counts the class over every model the gateway hosts, not the depth
+    of whichever model was touched last; the admit log line stays per
+    (model, class)."""
+    model_a = replace(TINYLLAMA, model_id="tinyllama-a")
+    model_b = replace(TINYLLAMA, model_id="tinyllama-b")
+    gateway = ServeGateway(SurrogateLLM([model_a, model_b]))
+    for model in (model_a, model_b):  # busy both lanes
+        gateway.submit(16, 64, model_id=model.model_id, priority="batch")
+    queued = [
+        gateway.submit(16, 4, model_id=model.model_id, priority="batch")
+        for model in (model_a, model_a, model_b)
+    ]
+    assert all(r.state == "queued" and r.dispatched_at is None for r in queued)
+    gauge = gateway.registry.gauge("serve_queue_depth")
+    assert gauge.value(**{"class": "batch"}) == 3.0
+    assert gateway.accountant.queue_depth[PriorityClass.BATCH].last == 3.0
+    admits = [line.split()[-1] for line in gateway.log if line.split()[1] == "admit"]
+    assert admits[2:] == ["depth=1", "depth=2", "depth=1"]
+    gateway.sim.run()
+    assert gauge.value(**{"class": "batch"}) == 0.0
+    assert gateway.accountant.to_dict()["classes"]["batch"]["queue_depth_max"] == 3.0
