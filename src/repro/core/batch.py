@@ -27,10 +27,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, OutOfMemory
-from ..llm.graph import build_batched_decode_graph, build_chunked_prefill_graph
+from ..llm.graph import (
+    ComputationGraph,
+    ComputeOp,
+    attention_ops,
+    build_batched_decode_graph,
+    build_chunked_prefill_graph,
+    size_decode_attention,
+)
 from ..llm.kv_cache import (
     BlockCheckpoint,
     KVBlockPool,
@@ -225,6 +232,8 @@ class DecodeBatchEngine:
         #: the data region may only shrink when this reaches zero.
         self.inflight = 0
         self._executor: Optional[GraphExecutor] = None
+        #: fused decode graph and its attention ops, per batch size.
+        self._decode_graphs: Dict[int, Tuple[ComputationGraph, List[ComputeOp]]] = {}
         # engine-level stats (also exported through ta.metrics when set)
         self.steps = 0
         self.tokens_generated = 0
@@ -541,6 +550,29 @@ class DecodeBatchEngine:
                 self.active.remove(seq)
                 self._retire(seq, "finished")
 
+    def _decode_graph(self, kv_token_counts: List[int]) -> ComputationGraph:
+        """The fused decode graph for this step's batch.
+
+        Only attention depends on the context lengths, so one graph per
+        batch size is built on first use and kept; each step re-sizes its
+        attention operators, as single-stream decode does.
+        """
+        entry = self._decode_graphs.get(len(kv_token_counts))
+        if entry is None:
+            ta = self.ta
+            graph = build_batched_decode_graph(
+                ta.model,
+                ta.container.tensors,
+                kv_token_counts,
+                use_npu=ta.decode_use_npu,
+                platform=ta.platform,
+            )
+            self._decode_graphs[len(kv_token_counts)] = (graph, attention_ops(graph))
+            return graph
+        graph, attention = entry
+        size_decode_attention(self.ta.model, attention, kv_token_counts)
+        return graph
+
     def _run(self):
         """The stepper process: one fused decode step over the resident
         sequences, then at most one bounded prefill chunk for the oldest
@@ -561,13 +593,7 @@ class DecodeBatchEngine:
                 yield from self.ensure_backing()
                 batch = [s for s in self.active if s.prefill_remaining <= 0]
                 if batch:
-                    graph = build_batched_decode_graph(
-                        ta.model,
-                        ta.container.tensors,
-                        [seq.kv.tokens for seq in batch],
-                        use_npu=ta.decode_use_npu,
-                        platform=ta.platform,
-                    )
+                    graph = self._decode_graph([seq.kv.tokens for seq in batch])
                     start = self.sim.now
                     cpu0 = executor.cpu_busy_time
                     npu0 = executor.npu_busy_time

@@ -31,6 +31,8 @@ __all__ = [
     "build_chunked_prefill_graph",
     "build_decode_step_graph",
     "build_batched_decode_graph",
+    "attention_ops",
+    "size_decode_attention",
 ]
 
 
@@ -238,13 +240,33 @@ def build_decode_step_graph(
     attention op additionally streams the KV cache.
     """
     graph = build_prefill_graph(model, tensors, 1, use_npu=use_npu, platform=platform)
-    # Patch the attention ops to read the accumulated KV cache.
-    kv_bytes = kv_tokens * model.kv_dim * 2 * model.kv_bytes_per_element
-    for op in graph.ops:
-        if op.name.endswith(".attention"):
-            op.flops = 4.0 * kv_tokens * model.hidden
-            op.bytes_touched = kv_bytes
+    size_decode_attention(model, attention_ops(graph), [kv_tokens])
     return graph
+
+
+def attention_ops(graph: ComputationGraph) -> List[ComputeOp]:
+    """The self-attention operators of ``graph``, in chain order."""
+    return [op for op in graph.ops if op.name.endswith(".attention")]
+
+
+def size_decode_attention(
+    model: ModelSpec, ops: Sequence[ComputeOp], kv_token_counts: Sequence[int]
+) -> None:
+    """Price decode attention for one step: each sequence's single query
+    reads its whole KV cache, so flops and bytes are sums over the
+    batch's context lengths (one length for single-stream decode).
+
+    The one formula every decode graph uses, at build time and when a
+    kept graph is re-sized for the next step.  The sums stay ``sum(...)``
+    so a re-sized graph is bit-identical to a freshly built one.
+    """
+    flops = sum(4.0 * t * model.hidden for t in kv_token_counts)
+    bytes_touched = sum(
+        t * model.kv_dim * 2 * model.kv_bytes_per_element for t in kv_token_counts
+    )
+    for op in ops:
+        op.flops = flops
+        op.bytes_touched = bytes_touched
 
 
 #: decode-graph op classification by name suffix: matmuls stream their
@@ -279,14 +301,8 @@ def build_batched_decode_graph(
         raise ConfigurationError("batch must contain at least one sequence")
     batch = len(kv_token_counts)
     graph = build_prefill_graph(model, tensors, 1, use_npu=False)
-    kv_flops = sum(4.0 * t * model.hidden for t in kv_token_counts)
-    kv_bytes = sum(
-        t * model.kv_dim * 2 * model.kv_bytes_per_element for t in kv_token_counts
-    )
     for op in graph.ops:
         if op.name.endswith(".attention"):
-            op.flops = kv_flops
-            op.bytes_touched = kv_bytes
             op.engine = Engine.CPU
         elif op.name.endswith(_WEIGHT_OP_SUFFIXES):
             op.flops *= batch  # weights stream once; activations per sequence
@@ -295,4 +311,5 @@ def build_batched_decode_graph(
             op.flops *= batch
             op.bytes_touched *= batch
             op.engine = Engine.CPU
+    size_decode_attention(model, attention_ops(graph), kv_token_counts)
     return graph

@@ -2,7 +2,9 @@
 
 The executor walks a computation graph in topological order (the chain
 llama.cpp schedules), charging each operator's roofline duration on its
-engine.  NPU operators are dispatched through a pluggable backend:
+engine.  Consecutive CPU operators share one hold of the CPU, handed
+over at an operator boundary only when another request needs it.  NPU
+operators are dispatched through a pluggable backend:
 
 * :class:`DirectNPUBackend` — idealized device (launch latency only); the
   REE-LLM-Memory theoretical baseline.
@@ -19,7 +21,10 @@ so end-to-end output text is reproducible.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, groupby
+from operator import attrgetter
 from typing import List, Optional, Union
 
 from ..config import PlatformSpec
@@ -27,7 +32,13 @@ from ..errors import ConfigurationError
 from ..hw.common import AddrRange
 from ..hw.npu import NPUJob
 from ..sim import Resource, Simulator
-from .graph import ComputationGraph, ComputeOp, build_decode_step_graph
+from .graph import (
+    ComputationGraph,
+    ComputeOp,
+    attention_ops,
+    build_decode_step_graph,
+    size_decode_attention,
+)
 from .kv_cache import KVCache
 from .models import ModelSpec
 from .ops import Engine, op_duration
@@ -174,13 +185,7 @@ class GraphExecutor:
         """Execute a single operator (generator)."""
         duration = self.op_time(op)
         if op.engine == Engine.CPU:
-            request = self.cpu.request(priority=cpu_priority)
-            yield request
-            try:
-                yield self.sim.timeout(duration)
-                self.cpu_busy_time += duration
-            finally:
-                self.cpu.release(request)
+            yield from self._run_cpu([duration], cpu_priority)
         else:
             if self.npu_backend is None:
                 raise ConfigurationError("graph has NPU ops but no NPU backend")
@@ -193,9 +198,84 @@ class GraphExecutor:
             self.npu_overhead_time += self.npu_backend.overhead_time - overhead0
 
     def execute(self, graph: ComputationGraph, cpu_priority: float = 0.0):
-        """Run the whole chain (generator)."""
-        for op in graph.ops:
-            yield from self.run_op(op, cpu_priority=cpu_priority)
+        """Run the whole chain (generator).
+
+        Each maximal run of consecutive CPU operators executes under one
+        CPU hold (see :meth:`_run_cpu`); NPU operators go one at a time
+        through the backend.
+        """
+        for engine, ops in groupby(graph.ops, key=attrgetter("engine")):
+            if engine == Engine.CPU:
+                yield from self._run_cpu([self.op_time(op) for op in ops], cpu_priority)
+            else:
+                for op in ops:
+                    yield from self.run_op(op, cpu_priority=cpu_priority)
+
+    def _run_cpu(self, durations: List[float], cpu_priority: float):
+        """Run consecutive CPU operators of the given durations (generator).
+
+        The CPU is taken once and the holder wakes once, at the last
+        operator's boundary, instead of once per operator.  Each boundary
+        is the previous one plus the operator's duration, the instant a
+        per-operator timeout would land on, and is scheduled as that
+        absolute time.  The hold still ends at every boundary where
+        per-operator stepping would hand the CPU over: after one operator
+        when a request is already queued at the grant, and at the first
+        boundary at or after the arrival of a request that queues during
+        the hold.  The executor then releases, re-requests and carries
+        on, as it would after any operator.
+        """
+        cpu = self.cpu
+        first = 0
+        while first < len(durations):
+            request = cpu.request(priority=cpu_priority)
+            yield request
+            count = 1 if cpu.queued else len(durations) - first
+            hold = _CPUHold(self.sim, durations[first : first + count])
+            request.on_contention = hold.cut
+            try:
+                yield hold.wake
+            finally:
+                done = hold.finished()
+                for duration in durations[first : first + done]:
+                    self.cpu_busy_time += duration
+                cpu.release(request)
+            first += done
+
+
+class _CPUHold:
+    """The wake-up of one CPU hold over operators starting now."""
+
+    __slots__ = ("sim", "boundaries", "last", "wake")
+
+    def __init__(self, sim: Simulator, durations: List[float]):
+        self.sim = sim
+        #: each operator's end instant, summed left to right from now.
+        self.boundaries = list(accumulate(durations, initial=sim.now))[1:]
+        #: index of the boundary the wake-up is set for.
+        self.last = len(durations) - 1
+        self.wake = sim.timeout_at(self.boundaries[-1])
+
+    def cut(self) -> None:
+        """End the hold at the first boundary at or after now."""
+        index = bisect_left(self.boundaries, self.sim.now)
+        if index < self.last:
+            self.last = index
+            self.sim.reschedule(self.wake, self.boundaries[index])
+
+    def finished(self) -> int:
+        """How many operators of the hold completed.
+
+        After the wake-up, every operator up to its boundary.  A holder
+        interrupted before it completes only the operators whose
+        boundary lies before now; the wake-up then stays pending at the
+        unfinished operator's boundary, where that operator's own
+        timeout would have been left.
+        """
+        if self.wake.processed:
+            return self.last + 1
+        self.cut()
+        return bisect_left(self.boundaries, self.sim.now)
 
 
 def sample_token(model_id: str, step: int, vocab: int) -> int:
@@ -260,7 +340,7 @@ def decode_tokens(
     graph = build_decode_step_graph(
         model, tensors, kv.tokens, use_npu=use_npu, platform=executor.platform
     )
-    attention_ops = [op for op in graph.ops if op.name.endswith(".attention")]
+    attention = attention_ops(graph)
     for step in range(n_tokens):
         if stop_hook is not None and stop_hook():
             result.stopped_early = True
@@ -271,10 +351,7 @@ def decode_tokens(
         smc0 = executor.npu_overhead_time
         if grow_hook is not None:
             yield from grow_hook(kv)
-        kv_bytes = kv.tokens * model.kv_dim * 2 * model.kv_bytes_per_element
-        for op in attention_ops:
-            op.flops = 4.0 * kv.tokens * model.hidden
-            op.bytes_touched = kv_bytes
+        size_decode_attention(model, attention, [kv.tokens])
         yield from executor.execute(graph, cpu_priority=cpu_priority)
         step_time = sim.now - start
         result.step_times.append(step_time)

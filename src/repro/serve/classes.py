@@ -35,6 +35,11 @@ class PriorityClass(IntEnum):
     BATCH = 1
     BACKGROUND = 2
 
+    def __init__(self, value):
+        #: lowercase name, the form trace files and metric labels use
+        #: (set once per member: it is read on every request).
+        self.label = self.name.lower()
+
     @classmethod
     def parse(cls, value: Union["PriorityClass", str]) -> "PriorityClass":
         """Accept an enum member or its lowercase name (trace files)."""
@@ -47,10 +52,6 @@ class PriorityClass(IntEnum):
                 "unknown priority class %r (have: %s)"
                 % (value, ", ".join(m.name.lower() for m in cls))
             )
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
 
 
 @dataclass(frozen=True)

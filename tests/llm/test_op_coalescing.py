@@ -1,0 +1,254 @@
+"""Differential tests: CPU runs under one hold vs per-operator stepping.
+
+``GraphExecutor.execute`` takes the CPU once per run of consecutive CPU
+operators and wakes once, at the run's last boundary, handing the CPU
+over at an operator boundary only when a competing request needs it.
+These tests run random CPU/NPU chains against up to three contenders on
+a capacity-1 priority CPU, once with the executor and once with the
+per-operator reference loop (``per_op_reference``, see
+``tests/conftest.py``), and require every grant instant, the chain's end
+instant and the executor's busy-time accumulators to match bit for bit.
+"""
+
+from itertools import accumulate
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import RK3588
+from repro.llm import DirectNPUBackend, Engine, GraphExecutor, get_model
+from repro.llm.graph import ComputationGraph, ComputeOp
+from repro.sim import Interrupt, Resource, Simulator
+
+PLATFORM = RK3588
+MODEL = get_model("tinyllama-1.1b-q8")
+LAUNCH = PLATFORM.npu.job_launch_latency
+
+
+def make_graph(ops):
+    return ComputationGraph(
+        MODEL,
+        [
+            ComputeOp(
+                op_id=index,
+                name="op%d" % index,
+                engine=engine,
+                layer=0,
+                flops=flops,
+                bytes_touched=bytes_touched,
+                deps=[index - 1] if index else [],
+            )
+            for index, (engine, flops, bytes_touched) in enumerate(ops)
+        ],
+    )
+
+
+def new_executor(sim):
+    cpu = Resource(sim, capacity=1, priority=True, name="cpu")
+    return GraphExecutor(sim, PLATFORM, cpu, DirectNPUBackend(sim, PLATFORM))
+
+
+def uncontended_boundaries(executor, graph, start):
+    """Each operator's end instant when nothing else wants the CPU."""
+    steps = []
+    for op in graph.ops:
+        duration = executor.op_time(op)
+        steps.append(duration if op.engine == Engine.CPU else LAUNCH + duration)
+    return list(accumulate(steps, initial=start))[1:]
+
+
+def run_scenario(execute, ops, contenders, cpu_priority, start, interrupt_at):
+    """Run one chain against ``contenders`` (arrival, priority, hold);
+    return everything the two executors must agree on."""
+    sim = Simulator()
+    executor = new_executor(sim)
+    graph = make_graph(ops)
+    boundaries = uncontended_boundaries(executor, graph, start)
+    grants = [None] * len(contenders)
+    marks = {"end": None}
+
+    def contender(index, arrival, priority, hold):
+        # The timer is set at t=0, before the executor's first request.
+        if arrival[0] == "boundary":
+            yield sim.timeout(boundaries[arrival[1] % len(boundaries)])
+        else:
+            yield sim.timeout(arrival[1])
+        request = executor.cpu.request(priority=priority)
+        yield request
+        grants[index] = sim.now
+        yield sim.timeout(hold)
+        executor.cpu.release(request)
+
+    for index, (arrival, priority, hold) in enumerate(contenders):
+        sim.process(contender(index, arrival, priority, hold))
+
+    def run():
+        yield sim.timeout(start)
+        try:
+            yield from execute(executor, graph, cpu_priority=cpu_priority)
+        except Interrupt:
+            pass
+        marks["end"] = sim.now
+
+    proc = sim.process(run())
+    if interrupt_at is not None:
+
+        def interrupter():
+            yield sim.timeout(interrupt_at)
+            if proc.is_alive:
+                proc.interrupt("stop")
+
+        sim.process(interrupter())
+    sim.run()
+    return {
+        "grants": grants,
+        "end": marks["end"],
+        "drained_at": sim.now,
+        "cpu_busy_time": executor.cpu_busy_time,
+        "npu_wait_time": executor.npu_wait_time,
+        "npu_busy_time": executor.npu_busy_time,
+        "npu_overhead_time": executor.npu_overhead_time,
+    }
+
+
+def coalesced(executor, graph, cpu_priority=0.0):
+    return executor.execute(graph, cpu_priority=cpu_priority)
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from((Engine.CPU, Engine.CPU, Engine.NPU)),
+        st.floats(min_value=1e3, max_value=2e9),
+        st.floats(min_value=1e3, max_value=2e8),
+    ),
+    min_size=1,
+    max_size=12,
+)
+_ARRIVAL = st.one_of(
+    st.tuples(st.just("boundary"), st.integers(min_value=0, max_value=11)),
+    st.tuples(st.just("at"), st.floats(min_value=0.0, max_value=0.08)),
+)
+_CONTENDERS = st.lists(
+    st.tuples(
+        _ARRIVAL,
+        st.sampled_from((-1, 0, 1)),
+        st.floats(min_value=1e-6, max_value=0.02),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ops=_OPS,
+    contenders=_CONTENDERS,
+    cpu_priority=st.sampled_from((-1, 0, 1)),
+    start=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.02)),
+    interrupt_at=st.one_of(st.none(), st.floats(min_value=1e-7, max_value=0.08)),
+)
+def test_cpu_runs_match_per_op_stepping(
+    per_op_reference, ops, contenders, cpu_priority, start, interrupt_at
+):
+    args = (ops, contenders, cpu_priority, start, interrupt_at)
+    assert run_scenario(coalesced, *args) == run_scenario(per_op_reference, *args)
+
+
+# ----------------------------------------------------------------------
+# the hand-over rules, one scenario each
+# ----------------------------------------------------------------------
+CPU_OPS = [(Engine.CPU, 1e9, 1e6)] * 4
+OP_TIME = new_executor(Simulator()).op_time(make_graph(CPU_OPS).ops[0])
+
+
+def test_uncontended_run_is_one_grant_and_one_wake(per_op_reference):
+    results = {}
+    for name, execute in (("run", coalesced), ("per_op", per_op_reference)):
+        sim = Simulator()
+        executor = new_executor(sim)
+        sim.run_until(sim.process(execute(executor, make_graph(CPU_OPS * 10))))
+        results[name] = (sim.now, executor.cpu_busy_time, sim.steps, executor.cpu.stats.grants)
+    assert results["run"][:2] == results["per_op"][:2]
+    # process start + grant + wake + process end, against two events per op.
+    assert results["run"][2] == 4
+    assert results["per_op"][2] == 2 + 2 * 40
+    assert results["run"][3] == 1
+
+
+def test_run_ends_on_the_left_to_right_sum_of_op_times(per_op_reference):
+    # From t=0.1, twelve of these operators end where a relative timeout
+    # of (end - now) would land one ulp early.
+    ops = CPU_OPS * 3
+    args = (ops, [], 0, 0.1, None)
+    run = run_scenario(coalesced, *args)
+    assert run == run_scenario(per_op_reference, *args)
+    end = uncontended_boundaries(new_executor(Simulator()), make_graph(ops), 0.1)[-1]
+    assert run["end"] == end
+    assert 0.1 + (end - 0.1) != end
+
+
+def test_request_queued_mid_run_cuts_at_next_boundary(per_op_reference):
+    boundaries = list(accumulate([OP_TIME] * 4))
+    arrival = (boundaries[0] + boundaries[1]) / 2
+    contenders = [(("at", arrival), 1, 1e-3)]
+    run = run_scenario(coalesced, CPU_OPS, contenders, 0, 0.0, None)
+    assert run == run_scenario(per_op_reference, CPU_OPS, contenders, 0, 0.0, None)
+    # Granted at the boundary that ends the operator in flight, even
+    # though the executor has the better priority.
+    assert run["grants"] == [boundaries[1]]
+
+
+def test_request_queued_at_grant_gets_cpu_after_one_op(per_op_reference):
+    # A holds the CPU from t=0; the executor and then B queue behind it.
+    # When A releases the executor is first in line and is granted with
+    # B already queued: B must get the CPU after one operator.
+    contenders = [(("at", 0.0), 0, 5e-3), (("at", 1e-3), 0, 1e-3)]
+    args = (CPU_OPS, contenders, -1, 1e-4, None)
+    run = run_scenario(coalesced, *args)
+    assert run == run_scenario(per_op_reference, *args)
+    assert run["grants"] == [0.0, 5e-3 + OP_TIME]
+
+
+def test_timer_set_before_the_run_on_a_boundary_matches(per_op_reference):
+    for k in range(len(CPU_OPS)):
+        contenders = [(("boundary", k), 1, 1e-3)]
+        args = (CPU_OPS, contenders, 0, 0.0, None)
+        assert run_scenario(coalesced, *args) == run_scenario(per_op_reference, *args)
+
+
+def test_interrupt_mid_run_counts_only_finished_ops(per_op_reference):
+    args = (CPU_OPS, [(("at", 0.0), 0, 1e-4)], 0, 0.0, 1e-4 + 2.5 * OP_TIME)
+    run = run_scenario(coalesced, *args)
+    assert run == run_scenario(per_op_reference, *args)
+    assert run["cpu_busy_time"] == OP_TIME + OP_TIME
+    assert run["end"] == 1e-4 + 2.5 * OP_TIME
+
+
+def test_boundary_landing_trigger_scheduled_mid_run_is_the_one_deviation(
+    per_op_reference,
+):
+    """A request whose trigger is scheduled *during* the run and lands
+    exactly on an operator boundary is granted at that boundary.  Per-op
+    stepping orders same-instant events by sequence number: the
+    operator's timeout was scheduled first, so the executor re-takes the
+    CPU at that instant and the request waits one more operator."""
+    grants = {}
+    for name, execute in (("run", coalesced), ("per_op", per_op_reference)):
+        sim = Simulator()
+        executor = new_executor(sim)
+        graph = make_graph(CPU_OPS)
+        boundaries = uncontended_boundaries(executor, graph, 0.0)
+
+        def contender():
+            # Scheduled inside the second operator, for its end instant.
+            yield sim.timeout((boundaries[0] + boundaries[1]) / 2)
+            yield sim.timeout_at(boundaries[1])
+            request = executor.cpu.request(priority=0)
+            yield request
+            grants[name] = sim.now
+            executor.cpu.release(request)
+
+        sim.process(execute(executor, graph))
+        sim.process(contender())
+        sim.run()
+    assert grants["run"] == boundaries[1]
+    assert grants["per_op"] == boundaries[2]

@@ -292,3 +292,34 @@ def test_nested_process_chain():
     proc = sim.process(root())
     assert sim.run_until(proc) == 12
     assert sim.now == 6.0
+
+
+def test_timeout_at_lands_on_the_absolute_instant():
+    sim = Simulator()
+    sim.run(until=0.1)
+    end = 0.3702702702702702
+    # A relative timeout from 0.1 lands one ulp early here.
+    assert sim.now + (end - sim.now) != end
+    fired = []
+    sim.timeout_at(end).add_callback(lambda event: fired.append(sim.now))
+    sim.run()
+    assert fired == [end]
+    with pytest.raises(SimulationError):
+        sim.timeout_at(end / 2)
+
+
+def test_reschedule_moves_a_pending_timeout_earlier():
+    sim = Simulator()
+    order = []
+    wake = sim.timeout_at(5.0)
+    wake.add_callback(lambda event: order.append(("wake", sim.now)))
+    for when in (1.0, 2.0, 3.0):
+        sim.timeout_at(when).add_callback(lambda event: order.append(("other", sim.now)))
+    sim.run(until=1.5)
+    sim.reschedule(wake, 2.0)
+    sim.run()
+    # Moved to 2.0 and ordered after the event already pending there.
+    assert order == [("other", 1.0), ("other", 2.0), ("wake", 2.0), ("other", 3.0)]
+    assert sim.now == 3.0
+    with pytest.raises(SimulationError, match="not pending"):
+        sim.reschedule(wake, 4.0)
