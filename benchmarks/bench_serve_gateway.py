@@ -17,7 +17,7 @@ import pytest
 from dataclasses import replace
 
 from repro.analysis import render_table
-from repro.core.multi import TZLLMMulti
+from repro.core import TZLLM
 from repro.llm import TINYLLAMA
 from repro.serve import (
     GatewayConfig,
@@ -89,9 +89,9 @@ MODES = {
 def run_serve_gateway():
     results = {}
     for mode, config in MODES.items():
-        system = TZLLMMulti([ASSISTANT, SUMMARIZER], cache_fraction=1.0)
+        system = TZLLM([ASSISTANT, SUMMARIZER], cache_fraction=1.0)
         for model_id in system.tas:
-            system.run_infer(model_id, 8, 0)  # cold start off the trace
+            system.run_infer(8, 0, model_id=model_id)  # cold start off the trace
         gateway = ServeGateway(system, config)
         loadgen = LoadGenerator(gateway, TRACE).run_blocking()
         results[mode] = (gateway, loadgen)

@@ -6,8 +6,8 @@ Runs one TZ-LLM inference with tracing and metrics enabled and writes
 to see the CPU row (allocation, decryption, CPU compute), the I/O engine
 row (parameter loads) and the NPU row (secure matmul jobs) overlapping,
 exactly like the paper's pipelined-restoration timelines.  Alongside the
-trace it prints a Prometheus-format metrics excerpt and the flight
-recorder's tail, and writes the full registry snapshot to
+trace it prints a Prometheus-format metrics excerpt, the flight
+recorder's tail and each lane's busy/wait/idle time, and writes the full registry snapshot to
 ``tzllm_metrics.json`` and a speedscope/FlameGraph-loadable collapsed
 stack to ``tzllm_profile.collapsed``.
 
@@ -21,7 +21,7 @@ import json
 import os
 
 from repro import TINYLLAMA, TZLLM
-from repro.analysis import critical_path, render_table
+from repro.analysis import render_table
 from repro.obs import Profiler, instrument
 
 
@@ -53,10 +53,6 @@ def main() -> None:
         % (TINYLLAMA.display_name, record.ttft),
     ))
 
-    # Where the wall-clock went: merged busy time and bubbles per lane.
-    print()
-    print(critical_path(tracer).render())
-
     # The unified registry covers every layer the request crossed.
     print("\n--- metrics (Prometheus text, excerpt) ---")
     text = obs.registry.render()
@@ -80,7 +76,9 @@ def main() -> None:
     print("\n--- flight recorder tail ---")
     print(obs.recorder.render(8))
 
-    # Virtual-time profile: lane accounting plus a collapsed-stack file.
+    # Where the wall-clock went: the lane accounting splits the trace
+    # window into merged busy, wait and idle time per lane; the
+    # collapsed-stack file breaks the busy time down further.
     profiler = Profiler(tracer, sim=system.sim)
     profiler.add_record(record)
     print("\n--- profiler ---")

@@ -13,9 +13,8 @@ Run:  python examples/serving_gateway.py
 
 from dataclasses import replace
 
-from repro import TINYLLAMA
+from repro import TINYLLAMA, TZLLM
 from repro.analysis import render_table
-from repro.core.multi import TZLLMMulti
 from repro.serve import GatewayConfig, LoadGenerator, PriorityClass, ServeGateway
 from repro.workloads import TenantSpec, generate_multitenant_trace
 
@@ -40,9 +39,9 @@ TENANTS = [
 
 
 def main() -> None:
-    system = TZLLMMulti([ASSISTANT, SUMMARIZER], cache_fraction=1.0)
+    system = TZLLM([ASSISTANT, SUMMARIZER], cache_fraction=1.0)
     for model_id in system.tas:
-        system.run_infer(model_id, 8, 0)  # cold starts off the trace
+        system.run_infer(8, 0, model_id=model_id)  # cold starts off the trace
 
     trace = generate_multitenant_trace(HORIZON, TENANTS, seed=42)
     print("Trace: %d requests from %d tenants over %.0f simulated hours"

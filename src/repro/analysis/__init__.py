@@ -1,6 +1,5 @@
 """Measurement and reporting helpers for the benchmark harness."""
 
-from .critical_path import CriticalPathReport, LaneUsage, critical_path
 from .loc import PAPER_LOC, count_package_loc
 from .regress import (
     Delta,
@@ -24,9 +23,7 @@ from .metrics import (
 from .tables import render_bars, render_table
 
 __all__ = [
-    "CriticalPathReport",
     "Delta",
-    "LaneUsage",
     "LatencySummary",
     "PAPER_LOC",
     "PrefixShareReport",
@@ -35,7 +32,6 @@ __all__ = [
     "Tolerance",
     "analyze_prefix_sharing",
     "compare",
-    "critical_path",
     "count_package_loc",
     "flatten_metrics",
     "geomean",

@@ -18,7 +18,6 @@ from .caching import (
     ThresholdProfiler,
 )
 from .llm_ta import InferenceRecord, LLMTA, PreemptionGate
-from .multi import TZLLMMulti
 from .obfuscation import apply_size_obfuscation, quantize_duration
 from .pipeline import PipelineConfig, PipelineMetrics, PrefillPipeline
 from .restore_graph import RestorationPlan, RestoreGroup, build_restoration_plan
@@ -51,7 +50,6 @@ __all__ = [
     "TEERestoreBackend",
     "ThresholdProfiler",
     "TZLLM",
-    "TZLLMMulti",
     "apply_size_obfuscation",
     "build_restoration_plan",
     "quantize_duration",

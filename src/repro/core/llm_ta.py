@@ -35,6 +35,7 @@ from ..llm.runtime import (
     TEECoDriverNPUBackend,
     decode_tokens,
 )
+from ..llm.tensors import build_tensor_table
 from ..llm.tokenizer import Tokenizer
 from ..sim import Resource
 from ..stack import Stack
@@ -47,6 +48,19 @@ from .pipeline import PipelineConfig, PipelineMetrics, PrefillPipeline
 from .restore_graph import RestorationPlan, build_restoration_plan
 
 __all__ = ["InferenceRecord", "LLMTA", "PreemptionGate"]
+
+
+def _restoration_plan(model: ModelSpec, tensors, granule: int, size_obfuscation) -> RestorationPlan:
+    """The §4.1 restoration plan over ``tensors``, padded per the §6
+    size-obfuscation setting (None = off, "uniform", or a quantum)."""
+    planning_graph = build_prefill_graph(model, tensors, 1, use_npu=False)
+    plan = build_restoration_plan(planning_graph, granule)
+    if size_obfuscation is not None:
+        from .obfuscation import apply_size_obfuscation
+
+        quantum = None if size_obfuscation == "uniform" else int(size_obfuscation)
+        apply_size_obfuscation(plan, quantum)
+    return plan
 
 
 class PreemptionGate:
@@ -239,13 +253,9 @@ class LLMTA(TrustedApplication):
         tee_os = stack.tee_os
         tee_os.install_ta(self)
         granule = stack.kernel.db.granule
-        planning_graph = build_prefill_graph(self.model, self.container.tensors, 1, use_npu=False)
-        self.plan = build_restoration_plan(planning_graph, granule)
-        if self.size_obfuscation is not None:
-            from .obfuscation import apply_size_obfuscation
-
-            quantum = None if self.size_obfuscation == "uniform" else int(self.size_obfuscation)
-            apply_size_obfuscation(self.plan, quantum)
+        self.plan = _restoration_plan(
+            self.model, self.container.tensors, granule, self.size_obfuscation
+        )
 
         params_cma = stack.kernel.cma_regions[self._region_name("params")]
         if params_cma.size_bytes < self.plan.total_alloc_bytes:
@@ -296,20 +306,17 @@ class LLMTA(TrustedApplication):
     @staticmethod
     def cma_requirements(
         model: ModelSpec,
-        container: ModelContainer,
         granule: int,
         max_tokens: int,
         size_obfuscation=None,
         batch_config: Optional[BatchConfig] = None,
     ):
-        """(params_bytes, data_bytes) the kernel must reserve at boot."""
-        planning_graph = build_prefill_graph(model, container.tensors, 1, use_npu=False)
-        plan = build_restoration_plan(planning_graph, granule)
-        if size_obfuscation is not None:
-            from .obfuscation import apply_size_obfuscation
+        """(params_bytes, data_bytes) the kernel must reserve at boot.
 
-            quantum = None if size_obfuscation == "uniform" else int(size_obfuscation)
-            apply_size_obfuscation(plan, quantum)
+        Sized from the model's tensor table, which fixes every size the
+        packed container will carry, so nothing is packed or encrypted
+        before the device stack exists."""
+        plan = _restoration_plan(model, build_tensor_table(model), granule, size_obfuscation)
         if batch_config is None:
             data = model.kv_bytes(max_tokens) + model.activation_bytes(max_tokens) + 4096
         else:
@@ -403,15 +410,24 @@ class LLMTA(TrustedApplication):
         ``prefix_sharing`` uses it: matching whole blocks are taken from
         the prefix tree by reference and only the miss suffix prefills.
         """
-        if self.plan is None:
-            raise ConfigurationError("setup() was not called")
-        if prompt_tokens + output_tokens > self.max_tokens:
-            raise ConfigurationError("request exceeds max_tokens")
-        if prompt is not None and prompt.prompt_tokens != prompt_tokens:
-            raise ConfigurationError(
-                "prompt spec covers %d tokens but the request claims %d"
-                % (prompt.prompt_tokens, prompt_tokens)
-            )
+        request_id = None if ctx is None else ctx.request_id
+        try:
+            if self.plan is None:
+                raise ConfigurationError("setup() was not called")
+            if prompt_tokens + output_tokens > self.max_tokens:
+                raise ConfigurationError("request exceeds max_tokens")
+            if prompt is not None and prompt.prompt_tokens != prompt_tokens:
+                raise ConfigurationError(
+                    "prompt spec covers %d tokens but the request claims %d"
+                    % (prompt.prompt_tokens, prompt_tokens)
+                )
+        except ConfigurationError:
+            # A rejected request never reaches the cache that would
+            # consume its gateway-held KV blocks: hand them back.
+            blocks = self._kv_reservations.pop(request_id, 0)
+            if blocks:
+                self.batch_engine.pool.cancel_reservation(blocks, owner="r%s" % request_id)
+            raise
         sim = self.sim
         record = InferenceRecord(
             prompt_tokens=prompt_tokens,
@@ -419,7 +435,7 @@ class LLMTA(TrustedApplication):
             started_at=sim.now,
             cached_groups=self.cached_groups,
             cached_bytes=self.params_region.protected,
-            request_id=None if ctx is None else ctx.request_id,
+            request_id=request_id,
         )
         if self.batch_engine is not None:
             record = yield from self._infer_batched(

@@ -10,12 +10,13 @@
   (pipelined restoration from flash with buddy pages, no decryption).
 
 All systems speak one interface: ``run_infer(prompt_tokens,
-output_tokens)`` returns an :class:`~repro.core.llm_ta.InferenceRecord`.
+output_tokens)`` returns an :class:`~repro.core.llm_ta.InferenceRecord`
+(a multi-model :class:`TZLLM` also takes ``model_id=``).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, Optional, Sequence, Union
 
 from ..config import GiB, MiB, PlatformSpec, RK3588
 from ..crypto import derive_key
@@ -68,8 +69,9 @@ class _SystemBase:
     def sim(self):
         return self.stack.sim
 
-    def run_infer(self, prompt_tokens: int, output_tokens: int = 0) -> InferenceRecord:
-        proc = self.sim.process(self.infer(prompt_tokens, output_tokens))
+    def run_infer(self, prompt_tokens: int, output_tokens: int = 0, **kwargs) -> InferenceRecord:
+        """Serve one request to completion; keyword arguments go to ``infer``."""
+        proc = self.sim.process(self.infer(prompt_tokens, output_tokens, **kwargs))
         return self.sim.run_until(proc)
 
     def infer(self, prompt_tokens: int, output_tokens: int = 0):
@@ -82,11 +84,22 @@ class _SystemBase:
 
 
 class TZLLM(_SystemBase):
-    """The paper's system, end to end, with every ablation flag."""
+    """The paper's system, end to end, with every ablation flag.
+
+    ``model`` is one :class:`ModelSpec` or a list of them.  A real
+    deployment hosts several models (assistant, summarizer, vision-
+    language) behind separate TAs on one TrustZone platform.  Each model
+    costs two TZASC regions (§4.2) and the TZC-400 has eight, so at most
+    four models fit; both that and the CMA budget are checked here.
+    Every TA gets its own address space and its own wrapped model key,
+    so cross-model isolation inherits the §6 guarantees.  Whatever the
+    model count, every request crosses the CA → TZ driver → SMC path into
+    one ``tee.llm.infer`` handler that picks the TA.
+    """
 
     def __init__(
         self,
-        model: ModelSpec,
+        model: Union[ModelSpec, Sequence[ModelSpec]],
         platform: PlatformSpec = RK3588,
         granule: int = 1 * MiB,
         max_tokens: int = 1024,
@@ -108,63 +121,116 @@ class TZLLM(_SystemBase):
         device_name: str = "",
         device_seed=None,
     ):
-        self.model = model
+        models = [model] if isinstance(model, ModelSpec) else list(model)
+        if not models:
+            raise ConfigurationError("need at least one model")
+        ids = [m.model_id for m in models]
+        if len(set(ids)) != len(ids):
+            raise ConfigurationError("duplicate model ids")
+        slots_needed = 2 * len(models)
+        slots_available = platform.trustzone.tzasc_regions
+        if slots_needed > slots_available:
+            raise ConfigurationError(
+                "%d models need %d TZASC regions; the hardware has %d"
+                % (len(models), slots_needed, slots_available)
+            )
         self.name = name
         self.device_name = device_name
-        # Sizing the boot-time CMA reservations needs the container's
-        # tensor table, which is independent of the device stack — build
-        # the container first against a scratch key schedule, then build
-        # the stack, then provision for real.
-        probe_container = parse_container(
-            pack_model(model, derive_key(b"probe", model.model_id), derive_key(b"probe", "hw"))
-        )
-        params_bytes, data_bytes = LLMTA.cma_requirements(
-            model,
-            probe_container,
-            granule,
-            max_tokens,
-            size_obfuscation=size_obfuscation,
-            batch_config=batch_config,
-        )
+        cma_regions: Dict[str, int] = {}
+        for spec in models:
+            params_bytes, data_bytes = LLMTA.cma_requirements(
+                spec,
+                granule,
+                max_tokens,
+                size_obfuscation=size_obfuscation,
+                batch_config=batch_config,
+            )
+            cma_regions["%s:params" % spec.model_id] = params_bytes
+            cma_regions["%s:data" % spec.model_id] = data_bytes
+        total_cma = sum(cma_regions.values())
+        if total_cma + os_footprint > platform.memory.total_bytes:
+            raise ConfigurationError(
+                "models need %.1f GB of CMA; the board has %.1f GB"
+                % (total_cma / 1e9, platform.memory.total_bytes / 1e9)
+            )
         self.stack = build_stack(
             spec=platform,
             granule=granule,
             os_footprint=os_footprint,
-            cma_regions={
-                "%s:params" % model.model_id: params_bytes,
-                "%s:data" % model.model_id: data_bytes,
-            },
+            cma_regions=cma_regions,
             npu_reinit_on_switch=npu_reinit_on_switch,
             sim=sim,
             name=device_name,
             device_seed=device_seed,
         )
-        self.container = provision_model(self.stack, model)
-        self.stack.tee_os.grant_model_access(model.model_id, "llm-ta:" + model.model_id)
-        self.ta = LLMTA(
-            self.stack,
-            model,
-            self.container,
-            max_tokens=max_tokens,
-            use_checkpoint=use_checkpoint,
-            use_npu=use_npu,
-            decode_use_npu=decode_use_npu,
-            pipeline_config=pipeline_config,
-            cache_policy=FractionCachePolicy(cache_fraction),
-            size_obfuscation=size_obfuscation,
-            npu_duration_quantum=npu_duration_quantum,
-            decode_param_residency=decode_param_residency,
-            recovery=recovery,
-            batch_config=batch_config,
-        )
-        self.ta.setup()
+        #: model_id -> the model's LLM TA, in the order given.
+        self.tas: Dict[str, LLMTA] = {}
+        for spec in models:
+            container = provision_model(self.stack, spec)
+            self.stack.tee_os.grant_model_access(spec.model_id, "llm-ta:" + spec.model_id)
+            ta = LLMTA(
+                self.stack,
+                spec,
+                container,
+                max_tokens=max_tokens,
+                use_checkpoint=use_checkpoint,
+                use_npu=use_npu,
+                decode_use_npu=decode_use_npu,
+                pipeline_config=pipeline_config,
+                cache_policy=FractionCachePolicy(cache_fraction),
+                size_obfuscation=size_obfuscation,
+                npu_duration_quantum=npu_duration_quantum,
+                decode_param_residency=decode_param_residency,
+                recovery=recovery,
+                batch_config=batch_config,
+            )
+            ta.setup()
+            self.tas[spec.model_id] = ta
+        # One NPU co-driver serves every TA: its TZASC grants are the
+        # union of all job-context regions (each TA re-points the list in
+        # setup(); restore the union here).
+        self.stack.tee_npu.allowed_slots = [
+            slot
+            for ta in self.tas.values()
+            for slot in (ta.params_region.tzasc_slot, ta.data_region.tzasc_slot)
+        ]
+        # One shared tracer covers every TA (pipeline spans on the model's
+        # lanes, serving spans on the gateway lane).
         self.tracer = None
         if trace:
             from ..sim.trace import Tracer
 
             self.tracer = Tracer(self.stack.sim)
-            self.ta.tracer = self.tracer
-        self.stack.board.monitor.register("tee.llm.infer", self.ta.infer)
+            for ta in self.tas.values():
+                ta.tracer = self.tracer
+        self.stack.board.monitor.register("tee.llm.infer", self._serve)
+
+    # -- one-model accessors (a multi-model system names the model) ------
+    @property
+    def ta(self) -> LLMTA:
+        """The TA of a one-model system."""
+        if len(self.tas) != 1:
+            raise ConfigurationError(
+                "%d models hosted: pick a TA from tas[model_id]" % len(self.tas)
+            )
+        (ta,) = self.tas.values()
+        return ta
+
+    @property
+    def model(self) -> ModelSpec:
+        return self.ta.model
+
+    @property
+    def container(self) -> ModelContainer:
+        return self.ta.container
+
+    def _serve(self, *args, model_id: Optional[str] = None, **kwargs):
+        """The ``tee.llm.infer`` SMC handler: the named model's TA serves
+        the request (``model_id=None`` on a one-model system)."""
+        ta = self.ta if model_id is None else self.tas.get(model_id)
+        if ta is None:
+            raise ConfigurationError("no TA for model %r" % model_id)
+        return ta.infer(*args, **kwargs)
 
     def infer(
         self,
@@ -173,6 +239,7 @@ class TZLLM(_SystemBase):
         preempt=None,
         ctx=None,
         prompt=None,
+        model_id: Optional[str] = None,
     ):
         """The client application's request path (generator).
 
@@ -180,7 +247,8 @@ class TZLLM(_SystemBase):
         across the SMC into the TA for cross-world flow tracing.
         ``prompt`` is an optional :class:`~repro.llm.PromptSpec` the TA's
         prefix-sharing path (``BatchConfig.prefix_sharing``) uses to take
-        shared KV blocks by reference.
+        shared KV blocks by reference.  ``model_id`` names the model on a
+        multi-model system.
         """
         yield self.sim.timeout(self.stack.spec.timing.ta_invoke_latency)
         record = yield from self.stack.tz_driver.invoke_ta(
@@ -190,19 +258,23 @@ class TZLLM(_SystemBase):
             preempt=preempt,
             ctx=ctx,
             prompt=prompt,
+            model_id=model_id,
         )
         return record
 
     def flush_kv(self):
         """Drop every cached-but-unreferenced shared KV block (generator):
-        the prefix tree empties and the data region shrinks if the TA is
-        fully drained.  Returns the number of residencies dropped."""
-        dropped = yield from self.ta.flush_kv_cache()
+        the prefix trees empty and each fully drained TA's data region
+        shrinks.  Returns the number of residencies dropped."""
+        dropped = 0
+        for ta in self.tas.values():
+            dropped += yield from ta.flush_kv_cache()
         return dropped
 
     def warm_cache(self, fraction: float) -> None:
         """Set the cache policy fraction for subsequent releases."""
-        self.ta.cache_policy = FractionCachePolicy(fraction)
+        for ta in self.tas.values():
+            ta.cache_policy = FractionCachePolicy(fraction)
 
 
 def strawman(model: ModelSpec, platform: PlatformSpec = RK3588, **kwargs) -> TZLLM:

@@ -114,8 +114,8 @@ class FaultInjector:
         """Attach this injector to every fault site of ``target``.
 
         ``target`` may be a :class:`~repro.stack.Stack` or any system
-        object exposing one via ``.stack`` (``TZLLM``, ``TZLLMMulti``,
-        ``REELLM``).  Returns self for chaining.
+        object exposing one via ``.stack`` (``TZLLM``, ``REELLM``).
+        Returns self for chaining.
         """
         stack = getattr(target, "stack", target)
         stack.kernel.fs.flash.fault_injector = self

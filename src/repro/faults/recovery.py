@@ -4,7 +4,7 @@ The default policy is *legacy*: no retries, no watchdog — exactly the
 behaviour the rest of the test-suite (and the paper's prototype) assumes,
 where a single injected flash error surfaces to the CA.  Hardened
 deployments pass :meth:`RecoveryPolicy.hardened` (or their own tuning)
-into ``TZLLM``/``TZLLMMulti``; the chaos suite and the fault-recovery
+into ``TZLLM``; the chaos suite and the fault-recovery
 benchmark run hardened.
 
 Knob-by-knob mapping to the recovery sites:

@@ -2,10 +2,9 @@
 
 A :class:`DeviceNode` wraps a per-device system (a fleet
 :class:`~repro.fleet.surrogate.SurrogateLLM` by default, or a
-full-fidelity :class:`~repro.core.system.TZLLM` /
-:class:`~repro.core.multi.TZLLMMulti` when the experiment warrants it)
-behind its own :class:`~repro.serve.gateway.ServeGateway`, and tracks the
-two cache populations that make placement matter:
+full-fidelity :class:`~repro.core.system.TZLLM` when the experiment
+warrants it) behind its own :class:`~repro.serve.gateway.ServeGateway`,
+and tracks the two cache populations that make placement matter:
 
 * **session KV** — a served turn leaves the session's KV resident, so a
   follow-up routed back here prefers prefilling only its *new* tokens;
@@ -134,8 +133,7 @@ class DeviceNode:
         """The model's parameters are resident (no cold restore needed):
         a surrogate TA's resident flag, or — on full-fidelity systems — a
         TA with cached parameter groups."""
-        tas = getattr(self.system, "tas", None)
-        ta = tas.get(model_id) if tas is not None else getattr(self.system, "ta", None)
+        ta = self.system.tas.get(model_id)
         return bool(getattr(ta, "resident", False) or getattr(ta, "cached_groups", 0))
 
     def session_hit_tokens(self, request: FleetRequest) -> int:

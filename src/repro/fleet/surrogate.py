@@ -20,9 +20,9 @@ that drive the full simulator:
 * **decode** — weight-streaming bandwidth bound per token, the regime
   the paper measures for single-batch decode.
 
-It speaks the gateway's multi-model system protocol (a ``tas`` dict and
-a model-id-first ``infer`` generator yielding on the shared clock and
-returning an :class:`~repro.core.llm_ta.InferenceRecord`), so
+It speaks :class:`~repro.core.system.TZLLM`'s system protocol (a ``tas``
+dict and an ``infer(..., model_id=)`` generator yielding on the shared
+clock and returning an :class:`~repro.core.llm_ta.InferenceRecord`), so
 :class:`~repro.serve.gateway.ServeGateway` drives it unchanged — with
 admission, priorities, preemption gates, breakers and SLO accounting all
 still real.  Determinism: the surrogate holds no RNG at all.
@@ -247,13 +247,16 @@ class SurrogateLLM:
     # -- the serving interface -----------------------------------------
     def infer(
         self,
-        model_id: str,
         prompt_tokens: int,
         output_tokens: int = 0,
         preempt=None,
         ctx=None,
+        prompt=None,
+        model_id: Optional[str] = None,
     ):
-        """Generator: one request on the named model (gateway protocol)."""
+        """Generator: one request on the named model (the
+        :meth:`~repro.core.system.TZLLM.infer` protocol; ``prompt`` is
+        ignored, as the fleet layer already discounted cached tokens)."""
         sim = self.sim
         ta = self._ta(model_id)
         model = ta.model

@@ -29,7 +29,7 @@ fault sites.
 """
 
 from .alerts import AlertEngine, AlertTransition, BurnRateRule, RateRule, ThresholdRule
-from .attach import Observability, instrument, iter_tas
+from .attach import Observability, instrument
 from .context import TraceContext
 from .memory import FleetMemoryView, MemoryTimeline, memory_pressure_rules
 from .profile import LaneBreakdown, Profiler, QueueRow
@@ -55,7 +55,6 @@ __all__ = [
     "FlightRecorder",
     "Observability",
     "instrument",
-    "iter_tas",
     "MemoryTimeline",
     "FleetMemoryView",
     "memory_pressure_rules",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .recorder import FlightRecorder
 from .registry import MetricsRegistry
 
-__all__ = ["Observability", "instrument", "iter_tas"]
+__all__ = ["Observability", "instrument"]
 
 # Components that carry ``metrics``/``recorder`` attach points, per stack.
 _SITED = (
@@ -37,22 +37,6 @@ def _resolve(stack, dotted):
     return obj
 
 
-def iter_tas(target):
-    """The TAs of a single- or multi-model system, structurally.
-
-    Multi-model systems expose a ``tas`` dict of model_id -> TA; the
-    single-model ``TZLLM`` exposes ``ta`` (guarded against the bound
-    method some stand-ins use for that name).  Shared by
-    :meth:`Observability.attach` and the memory timeline's attach walk.
-    """
-    if getattr(target, "tas", None):
-        return list(target.tas.values())
-    ta = getattr(target, "ta", None)
-    if ta is not None and not callable(ta):
-        return [ta]
-    return []
-
-
 class Observability:
     """One registry + one flight recorder covering a whole stack."""
 
@@ -67,8 +51,8 @@ class Observability:
         """Wire this bundle into every instrumented component of ``target``.
 
         ``target`` may be a :class:`~repro.stack.Stack` or any system
-        object exposing one via ``.stack`` (``TZLLM``, ``TZLLMMulti``,
-        ``REELLM``).  Returns self for chaining.
+        object exposing one via ``.stack`` (``TZLLM``, ``REELLM``).
+        Returns self for chaining.
         """
         stack = getattr(target, "stack", target)
         for dotted in _SITED:
@@ -81,9 +65,9 @@ class Observability:
         for region in stack.kernel.cma_regions.values():
             region.metrics = self.registry
             region.recorder = self.recorder
-        # TAs (single- or multi-model systems) take metrics for the
-        # pipeline phase accounting and the recorder for retry provenance.
-        for ta in iter_tas(target):
+        # TAs take metrics for the pipeline phase accounting and the
+        # recorder for retry provenance.
+        for ta in getattr(target, "tas", {}).values():
             ta.metrics = self.registry
             ta.recorder = self.recorder
         # Remember the bundle on both handles so late-comers (gateway,
@@ -106,7 +90,7 @@ class Observability:
         for region in stack.kernel.cma_regions.values():
             region.metrics = None
             region.recorder = None
-        for ta in iter_tas(target):
+        for ta in getattr(target, "tas", {}).values():
             ta.metrics = None
             ta.recorder = None
         stack.observability = None

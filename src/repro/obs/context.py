@@ -2,7 +2,7 @@
 
 A :class:`TraceContext` is minted by the serving gateway when a request
 is admitted, rides on the :class:`~repro.serve.request.ServeRequest`,
-and is threaded through ``TZLLM``/``TZLLMMulti`` into the TA and the
+and is threaded through ``TZLLM`` across the SMC into the TA and the
 prefill pipeline.  Each hop emits a Chrome *flow event* (``ph: s/t/f``)
 bound to ``flow_id`` so Perfetto draws an arrow from the gateway span to
 the TEE-lane compute spans that served it.

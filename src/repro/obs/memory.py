@@ -47,7 +47,6 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from .alerts import BurnRateRule, ThresholdRule
-from .attach import iter_tas
 
 __all__ = [
     "MemoryTimeline",
@@ -150,7 +149,7 @@ class MemoryTimeline:
             self._attached.append(tzasc)
             for slot, region in getattr(tzasc, "_regions", {}).items():
                 self._slot_bytes[slot] = region.range.size
-        for ta in iter_tas(target):
+        for ta in getattr(target, "tas", {}).values():
             for region, is_params in (
                 (getattr(ta, "params_region", None), True),
                 (getattr(ta, "data_region", None), False),

@@ -1,8 +1,7 @@
 """The multi-tenant serving gateway: routing, dispatch, preemption.
 
-The gateway sits between client tenants and the protected models — one
-:class:`~repro.core.system.TZLLM` (single model) or
-:class:`~repro.core.multi.TZLLMMulti` (one TA per model).  Each model is
+The gateway sits between client tenants and the protected models of one
+:class:`~repro.core.system.TZLLM` (one TA per model).  Each model is
 a *lane* that serves one request at a time (the single-TA constraint the
 paper's deployment has); the gateway's job is deciding **which** request
 that is:
@@ -36,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..core.llm_ta import PreemptionGate
-from ..core.multi import TZLLMMulti
 from ..core.system import TZLLM
 from ..errors import ConfigurationError
 from ..obs import TraceContext
@@ -143,7 +141,7 @@ class ServeGateway:
 
     def __init__(
         self,
-        system: Union[TZLLM, TZLLMMulti],
+        system: TZLLM,
         config: Optional[GatewayConfig] = None,
         tracer=None,
         observability=None,
@@ -169,15 +167,10 @@ class ServeGateway:
 
             self.registry = MetricsRegistry()
             self.recorder = None
-        # Multi-model systems are recognised structurally (a ``tas`` dict
-        # of model_id -> TA and a model-id-first ``infer``), so fleet
-        # surrogates and future system types route without isinstance
-        # checks against the concrete classes.
-        self._multi_model = hasattr(system, "tas")
-        if self._multi_model:
-            model_ids = list(system.tas)
-        else:
-            model_ids = [system.model.model_id]
+        # Systems are recognised structurally (a ``tas`` dict of
+        # model_id -> TA and ``infer(..., model_id=)``), so fleet
+        # surrogates route without isinstance checks.
+        model_ids = list(system.tas)
         #: stable identity surfaced by health() and fleet rollups: the
         #: explicit ``gateway_id`` wins, then the system's device name,
         #: then a deterministic id derived from the hosted models.
@@ -187,8 +180,7 @@ class ServeGateway:
         #: TA's batch size; dispatch consults its KV-block budget).
         self._tas: Dict[str, object] = {}
         if self.config.batching:
-            for m in model_ids:
-                ta = system.tas[m] if self._multi_model else system.ta
+            for m, ta in system.tas.items():
                 if ta.batch_engine is None:
                     raise ConfigurationError(
                         "batching=True requires TAs built with a BatchConfig "
@@ -721,26 +713,14 @@ class ServeGateway:
 
     def _infer(self, request: ServeRequest, gate: PreemptionGate):
         """Route the CA→TA invocation to the TA hosting the model."""
-        # ``prompt=`` is forwarded only when a spec exists: fleet
-        # surrogate systems implement the bare infer() signature.
-        extra = {} if request.prompt_spec is None else {"prompt": request.prompt_spec}
-        if self._multi_model:
-            record = yield from self.system.infer(
-                request.model_id,
-                request.prompt_tokens,
-                request.output_tokens,
-                preempt=gate,
-                ctx=request.trace,
-                **extra
-            )
-        else:
-            record = yield from self.system.infer(
-                request.prompt_tokens,
-                request.output_tokens,
-                preempt=gate,
-                ctx=request.trace,
-                **extra
-            )
+        record = yield from self.system.infer(
+            request.prompt_tokens,
+            request.output_tokens,
+            preempt=gate,
+            ctx=request.trace,
+            prompt=request.prompt_spec,
+            model_id=request.model_id,
+        )
         return record
 
     # ------------------------------------------------------------------

@@ -340,12 +340,13 @@ class _Condition(Event):
         for event in self._events:
             if event.sim is not sim:
                 raise SimulationError("condition mixes simulators")
-        self._pending = 0
+        # Count every child before adding any callback: a child already
+        # processed runs its callback at once.
+        self._pending = len(self._events)
         if not self._events:
             self.succeed({})
             return
         for event in self._events:
-            self._pending += 1
             event.add_callback(self._check)
 
     def _collect(self) -> dict:

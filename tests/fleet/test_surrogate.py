@@ -11,7 +11,9 @@ from repro.sim import Simulator
 
 
 def _run(system, model_id, prompt, out=0, preempt=None):
-    proc = system.sim.process(system.infer(model_id, prompt, out, preempt=preempt))
+    proc = system.sim.process(
+        system.infer(prompt, out, preempt=preempt, model_id=model_id)
+    )
     return system.sim.run_until(proc)
 
 
@@ -68,7 +70,7 @@ def test_preemption_gate_stops_decode_at_chunk_boundary():
     config = SurrogateConfig(preempt_check_tokens=4)
     system = SurrogateLLM([TINYLLAMA], config=config, sim=sim)
     gate = PreemptionGate()
-    proc = sim.process(system.infer(TINYLLAMA.model_id, 16, 64, preempt=gate))
+    proc = sim.process(system.infer(16, 64, preempt=gate, model_id=TINYLLAMA.model_id))
 
     def preemptor():
         yield sim.timeout(system.restore_time(TINYLLAMA) + 1.0)

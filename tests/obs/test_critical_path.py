@@ -1,73 +1,68 @@
-"""Tests for the critical-path report over a trace."""
+"""Critical-path lane accounting over a trace.
+
+:meth:`repro.obs.Profiler.lane_accounting` answers the Fig. 12 question
+for any capture: per lane, the merged busy time (overlap not
+double-counted), the wait time, and the idle bubbles of the trace
+window.
+"""
 
 import json
 
 import pytest
 
-from repro.analysis import critical_path
+from repro.obs import Profiler
 from repro.sim import Simulator, Span
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
-def _tracer_with(spans):
+def _lanes(spans):
     tracer = Tracer(Simulator())
     tracer.spans.extend(spans)
-    return tracer
+    return {b.lane: b for b in Profiler(tracer).lane_accounting()}
 
 
 def test_overlap_is_merged_per_lane():
-    report = critical_path(
-        _tracer_with(
-            [
-                Span("load", "g0", 0.0, 1.0, "I/O"),
-                Span("load", "g1", 0.5, 2.0, "I/O"),  # overlaps g0
-                Span("compute", "m0", 1.0, 1.5, "NPU"),
-            ]
-        )
+    lanes = _lanes(
+        [
+            Span("load", "g0", 0.0, 1.0, "I/O"),
+            Span("load", "g1", 0.5, 2.0, "I/O"),  # overlaps g0
+            Span("compute", "m0", 1.0, 1.5, "NPU"),
+        ]
     )
-    io = next(u for u in report.lanes if u.lane == "I/O")
-    npu = next(u for u in report.lanes if u.lane == "NPU")
+    io, npu = lanes["I/O"], lanes["NPU"]
     # Merged [0, 2), not 1.0 + 1.5 summed.
     assert io.busy == pytest.approx(2.0)
-    assert io.bubbles == pytest.approx(0.0)
+    assert io.idle == pytest.approx(0.0)
     assert npu.busy == pytest.approx(0.5)
-    assert npu.bubbles == pytest.approx(1.5)
-    # Category busy *does* sum raw durations.
-    assert report.category_busy["load"] == pytest.approx(2.5)
-    assert report.critical_lane == "I/O"
-    assert report.window == pytest.approx(2.0)
+    assert npu.idle == pytest.approx(1.5)
+    assert io.window == npu.window == pytest.approx(2.0)
 
 
 def test_disjoint_spans_leave_bubbles():
-    report = critical_path(
-        _tracer_with(
-            [
-                Span("load", "a", 0.0, 1.0, "I/O"),
-                Span("load", "b", 3.0, 4.0, "I/O"),
-            ]
-        )
-    )
-    (io,) = report.lanes
+    (io,) = _lanes(
+        [
+            Span("load", "a", 0.0, 1.0, "I/O"),
+            Span("load", "b", 3.0, 4.0, "I/O"),
+        ]
+    ).values()
     assert io.busy == pytest.approx(2.0)
-    assert io.bubbles == pytest.approx(2.0)
-    assert io.utilization == pytest.approx(0.5)
+    assert io.idle == pytest.approx(2.0)
+    assert io.busy / io.window == pytest.approx(0.5)
 
 
 def test_empty_trace_yields_empty_report():
-    report = critical_path(NULL_TRACER)
-    assert report.window == 0.0
-    assert report.lanes == [] and report.category_busy == {}
-    assert report.to_dict()["critical_lane"] is None
-    assert "window 0.000000" in report.render()
+    profiler = Profiler(NULL_TRACER)
+    assert profiler.lane_accounting() == []
+    assert profiler.to_dict()["lanes"] == []
 
 
 def test_report_exports_are_json_stable():
-    report = critical_path(
-        _tracer_with([Span("compute", "m", 0.0, 1.0, "NPU")])
-    )
-    doc = json.dumps(report.to_dict(), sort_keys=True)
-    assert json.loads(doc)["critical_lane"] == "NPU"
-    assert "critical lane: NPU" in report.render()
+    tracer = Tracer(Simulator())
+    tracer.spans.append(Span("compute", "m", 0.0, 1.0, "NPU"))
+    doc = json.dumps(Profiler(tracer).to_dict(), sort_keys=True)
+    (lane,) = json.loads(doc)["lanes"]
+    assert lane["lane"] == "NPU" and lane["busy"] == pytest.approx(1.0)
+    assert "NPU" in Profiler(tracer).render()
 
 
 def test_end_to_end_report_matches_tracer_totals():
@@ -76,13 +71,12 @@ def test_end_to_end_report_matches_tracer_totals():
     system = TZLLM(TINYLLAMA, trace=True)
     system.run_infer(8, 0)
     system.run_infer(64, 0)
-    report = critical_path(system.tracer)
-    for category in ("alloc", "load", "decrypt", "compute"):
-        assert report.category_busy[category] == pytest.approx(
-            system.tracer.total_time(category)
-        )
-    lanes = {u.lane for u in report.lanes}
-    assert {"CPU", "I/O engine", "NPU"} <= lanes
-    for usage in report.lanes:
-        assert 0.0 <= usage.utilization <= 1.0
-        assert usage.busy + usage.bubbles == pytest.approx(report.window)
+    tracer = system.tracer
+    lanes = {b.lane: b for b in Profiler(tracer).lane_accounting()}
+    assert {"CPU", "I/O engine", "NPU"} <= set(lanes)
+    # The I/O engine only loads, one request at a time: its merged busy
+    # time is the tracer's summed load time.
+    assert lanes["I/O engine"].busy == pytest.approx(tracer.total_time("load"))
+    for usage in lanes.values():
+        assert 0.0 <= usage.busy <= usage.window
+        assert usage.busy + usage.wait + usage.idle == pytest.approx(usage.window)

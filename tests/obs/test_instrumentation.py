@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro import TINYLLAMA, TZLLM
-from repro.core.multi import TZLLMMulti
 from repro.obs import Observability, instrument
 from repro.serve import GatewayConfig, ServeGateway
 
@@ -57,10 +56,10 @@ def test_single_system_run_exports_cross_layer_metrics():
 
 
 def test_multi_tenant_serving_covers_five_subsystems_and_links_flows():
-    """The PR's acceptance run: TZLLMMulti + gateway under one registry."""
-    system = TZLLMMulti([TINYLLAMA], cache_fraction=1.0, trace=True)
+    """A model-list TZLLM + gateway under one registry."""
+    system = TZLLM([TINYLLAMA], cache_fraction=1.0, trace=True)
     obs = instrument(system)
-    system.run_infer(TINYLLAMA.model_id, 8, 0)  # cold start
+    system.run_infer(8, 0, model_id=TINYLLAMA.model_id)  # cold start
     gateway = ServeGateway(system, GatewayConfig(shedding=False))
     assert gateway.registry is obs.registry
     assert gateway.recorder is obs.recorder

@@ -75,6 +75,25 @@ def test_kv_budget_blocks_head_of_line():
     assert system.ta.batch_engine.pool.reserved == 0
 
 
+def test_rejected_request_returns_its_kv_hold():
+    """Turns longer than the TA's max_tokens are reserved at dispatch and
+    then rejected by the TA; their blocks come back, so the queue behind
+    them does not deadlock on leaked holds."""
+    system = make_system(max_batch_size=4, max_tokens=1024)  # 256 blocks
+    gateway = make_gateway(system)
+    pool = system.ta.batch_engine.pool
+    too_long = [gateway.submit(1200, 68, priority="batch") for _ in range(4)]
+    short = gateway.submit(64, 8, priority="batch", tenant="short")
+    # Three seat (240 of 256 blocks held); the fourth and the short turn
+    # behind it wait for blocks only the rejections can free.
+    assert pool.reserved == 240 and gateway.queue_depth == 2
+    drain(gateway, too_long + [short])
+    assert all(r.failed for r in too_long)
+    assert pool.reserved == 0
+    pool.check_conservation()
+    assert short.done
+
+
 # ----------------------------------------------------------------------
 # preemption into a full batch, park, resume
 # ----------------------------------------------------------------------

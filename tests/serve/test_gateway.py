@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import TZLLM
-from repro.core.multi import TZLLMMulti
 from repro.errors import ConfigurationError
 from repro.fleet import SurrogateLLM
 from repro.llm import TINYLLAMA
@@ -190,7 +189,7 @@ def test_slo_shedding_when_lane_is_saturated(system):
 def test_gateway_routes_across_models():
     model_a = replace(TINYLLAMA, model_id="tinyllama-a")
     model_b = replace(TINYLLAMA, model_id="tinyllama-b")
-    system = TZLLMMulti([model_a, model_b], cache_fraction=1.0)
+    system = TZLLM([model_a, model_b], cache_fraction=1.0)
     gateway = ServeGateway(system)
     with pytest.raises(ConfigurationError):
         gateway.submit(prompt_tokens=8)  # model_id required with 2 lanes

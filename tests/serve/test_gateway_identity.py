@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 
-from repro.core.multi import TZLLMMulti
 from repro.core.system import TZLLM
 from repro.llm import TINYLLAMA
 from repro.serve import ServeGateway
@@ -17,7 +16,7 @@ def test_gateway_id_defaults_to_device_name():
 
 def test_gateway_id_derived_from_models_when_unnamed():
     second = replace(TINYLLAMA, model_id="tinyllama-clone", display_name="Clone")
-    system = TZLLMMulti([TINYLLAMA, second])
+    system = TZLLM([TINYLLAMA, second])
     gw = ServeGateway(system)
     assert gw.gateway_id == "gw:%s+%s" % tuple(
         sorted([TINYLLAMA.model_id, second.model_id])

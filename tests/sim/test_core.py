@@ -201,6 +201,22 @@ def test_all_of_waits_for_every_event():
     assert times == [(4.0, ["a", "b", "c"])]
 
 
+def test_all_of_with_a_processed_first_child_waits_for_the_rest():
+    sim = Simulator()
+    done = sim.timeout(0.5, "early")
+    fired = []
+
+    def proc():
+        yield sim.timeout(0.5)
+        assert done.processed
+        values = yield sim.all_of([done, sim.timeout(1.0, "late")])
+        fired.append((sim.now, sorted(values.values())))
+
+    sim.process(proc())
+    sim.run()
+    assert fired == [(1.5, ["early", "late"])]
+
+
 def test_any_of_fires_on_first():
     sim = Simulator()
     times = []
