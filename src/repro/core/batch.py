@@ -289,10 +289,6 @@ class DecodeBatchEngine:
         )
         return blocks
 
-    @property
-    def has_slot(self) -> bool:
-        return len(self.active) + len(self.waiting) < self.config.max_batch_size
-
     # ------------------------------------------------------------------
     # joining the batch
     # ------------------------------------------------------------------

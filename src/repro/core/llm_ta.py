@@ -490,25 +490,10 @@ class LLMTA(TrustedApplication):
             use_npu=self.use_npu,
             platform=self.platform,
         )
-        pipeline = PrefillPipeline(
-            sim,
-            self.platform,
-            graph,
-            self.plan,
-            self.backend,
-            self._npu_backend,
-            cached_groups=record.cached_groups,
-            config=self.pipeline_config,
-            recovery=self.recovery,
-            tracer=self.tracer,
-            registry=self.metrics,
-            recorder=self.recorder,
-            ctx=ctx,
-        )
         kv: Optional[KVCache] = None
         try:
             try:
-                record.pipeline = yield from pipeline.run()
+                yield from self._prefill(graph, self._npu_backend, record, ctx)
                 record.ttft = sim.now - record.started_at
                 record.first_token_at = sim.now
 
@@ -549,24 +534,12 @@ class LLMTA(TrustedApplication):
         # --- release ----------------------------------------------------------
         t0 = sim.now
         yield from self.data_region.shrink_all()
-        keep_bytes = self.cache_policy.bytes_to_keep(self)
-        keep_groups = self.plan.groups_for_bytes(keep_bytes)
-        keep = self.plan.cached_prefix_bytes(keep_groups)
-        yield from self.backend.release_to(keep)
+        yield from self.revoke_cache(self.cache_policy.bytes_to_keep(self))
         record.release_time = sim.now - t0
 
         record.world_switch_time = self.stack.tee_npu.world_switch_time - switch_t0
         record.smc_count = self.stack.board.monitor.smc_count - smc0
-        totals = record.decode_attribution
-        if totals is not None and self.metrics is not None:
-            counter = self.metrics.counter(
-                "decode_attribution_seconds_total",
-                "Decode latency per component (cpu/npu_compute/smc/sched_wait)",
-            )
-            for component, value in sorted(totals.items()):
-                counter.inc(value, component=component)
-        self.records.append(record)
-        return record
+        return self._finish(record)
 
     def _infer_batched(self, prompt_tokens, output_tokens, preempt, ctx, record, prompt=None):
         """The continuous-batching request path (generator).
@@ -704,23 +677,8 @@ class LLMTA(TrustedApplication):
                             use_npu=self.use_npu,
                             platform=self.platform,
                         )
-                    pipeline = PrefillPipeline(
-                        sim,
-                        self.platform,
-                        graph,
-                        self.plan,
-                        self.backend,
-                        engine._backend(),
-                        cached_groups=record.cached_groups,
-                        config=self.pipeline_config,
-                        recovery=self.recovery,
-                        tracer=self.tracer,
-                        registry=self.metrics,
-                        recorder=self.recorder,
-                        ctx=ctx,
-                    )
                     try:
-                        record.pipeline = yield from pipeline.run()
+                        yield from self._prefill(graph, engine._backend(), record, ctx)
                     except Exception:
                         yield from self._recover_batched()
                         raise
@@ -792,12 +750,33 @@ class LLMTA(TrustedApplication):
             and not engine.parked
         ):
             self._framework_resident = False
-            keep_bytes = self.cache_policy.bytes_to_keep(self)
-            keep_groups = self.plan.groups_for_bytes(keep_bytes)
-            keep = self.plan.cached_prefix_bytes(keep_groups)
-            yield from self.backend.release_to(keep)
+            yield from self.revoke_cache(self.cache_policy.bytes_to_keep(self))
         record.release_time = sim.now - t0
+        return self._finish(record)
 
+    def _prefill(self, graph, npu_backend: NPUBackend, record: InferenceRecord, ctx):
+        """Run the §4.1 restoration pipeline over ``graph`` from the
+        record's cached prefix (generator); its metrics land on
+        ``record.pipeline``."""
+        pipeline = PrefillPipeline(
+            self.sim,
+            self.platform,
+            graph,
+            self.plan,
+            self.backend,
+            npu_backend,
+            cached_groups=record.cached_groups,
+            config=self.pipeline_config,
+            recovery=self.recovery,
+            tracer=self.tracer,
+            registry=self.metrics,
+            recorder=self.recorder,
+            ctx=ctx,
+        )
+        record.pipeline = yield from pipeline.run()
+
+    def _finish(self, record: InferenceRecord) -> InferenceRecord:
+        """Count the request's decode attribution and keep its record."""
         totals = record.decode_attribution
         if totals is not None and self.metrics is not None:
             counter = self.metrics.counter(
@@ -919,8 +898,10 @@ class LLMTA(TrustedApplication):
     # memory-pressure interface (the REE may ask for memory back, §4.1)
     # ------------------------------------------------------------------
     def revoke_cache(self, target_bytes: int):
-        """Shrink the cached parameter prefix to ``target_bytes``
-        (generator; called on REE memory pressure)."""
+        """Shrink the cached parameter prefix to the whole groups that
+        fit in ``target_bytes`` (generator).  The REE calls it on memory
+        pressure; every request's release calls it with the cache
+        policy's target."""
         groups = self.plan.groups_for_bytes(target_bytes)
         keep = self.plan.cached_prefix_bytes(groups)
         yield from self.backend.release_to(keep)

@@ -28,7 +28,7 @@ from ..llm.kv_cache import KVCache
 from ..llm.models import ModelSpec
 from ..llm.runtime import GraphExecutor, REEDriverNPUBackend, decode_tokens
 from ..sim import Resource
-from ..stack import Stack, build_stack
+from ..stack import Stack, build_stack, set_hook
 from ..workloads.stress import MemoryStress
 from .backends import REERestoreBackend
 from .caching import FractionCachePolicy
@@ -201,8 +201,7 @@ class TZLLM(_SystemBase):
             from ..sim.trace import Tracer
 
             self.tracer = Tracer(self.stack.sim)
-            for ta in self.tas.values():
-                ta.tracer = self.tracer
+            set_hook(self, "tracer", self.tracer)
         self.stack.board.monitor.register("tee.llm.infer", self._serve)
 
     # -- one-model accessors (a multi-model system names the model) ------
@@ -270,11 +269,6 @@ class TZLLM(_SystemBase):
         for ta in self.tas.values():
             dropped += yield from ta.flush_kv_cache()
         return dropped
-
-    def warm_cache(self, fraction: float) -> None:
-        """Set the cache policy fraction for subsequent releases."""
-        for ta in self.tas.values():
-            ta.cache_policy = FractionCachePolicy(fraction)
 
 
 def strawman(model: ModelSpec, platform: PlatformSpec = RK3588, **kwargs) -> TZLLM:

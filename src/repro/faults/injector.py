@@ -2,9 +2,9 @@
 
 Components expose a ``fault_injector`` attribute (None by default) and
 consult it at their fault sites; :meth:`FaultInjector.arm` attaches one
-injector to every site-bearing component of a stack.  The injector keeps
-per-site checked/fired counters so chaos tests can assert that a plan
-actually exercised the paths it claims to.
+injector to every hook site of a stack that declares it.  The injector
+keeps per-site checked/fired counters so chaos tests can assert that a
+plan actually exercised the paths it claims to.
 
 Nothing here touches wall clocks or global RNG state: every decision
 comes from the plan's per-site streams against the simulated clock, so a
@@ -17,6 +17,7 @@ import random
 from typing import Dict, Optional
 
 from ..errors import ConfigurationError
+from ..stack import set_hook
 from .plan import KNOWN_SITES, FaultPlan
 
 __all__ = ["FaultInjector"]
@@ -111,34 +112,22 @@ class FaultInjector:
     # arming
     # ------------------------------------------------------------------
     def arm(self, target) -> "FaultInjector":
-        """Attach this injector to every fault site of ``target``.
+        """Attach this injector to every fault site of ``target``: each
+        hook site (:func:`~repro.stack.hook_sites`) that declares
+        ``fault_injector``.
 
         ``target`` may be a :class:`~repro.stack.Stack` or any system
         object exposing one via ``.stack`` (``TZLLM``, ``REELLM``).
         Returns self for chaining.
         """
-        stack = getattr(target, "stack", target)
-        stack.kernel.fs.flash.fault_injector = self
-        for region in stack.kernel.cma_regions.values():
-            region.fault_injector = self
-        stack.ree_npu.fault_injector = self
-        stack.tee_npu.fault_injector = self
+        set_hook(target, "fault_injector", self)
         return self
 
     def disarm(self, target) -> None:
         """Detach from ``target``'s fault sites (counters are kept)."""
-        stack = getattr(target, "stack", target)
-        stack.kernel.fs.flash.fault_injector = None
-        for region in stack.kernel.cma_regions.values():
-            region.fault_injector = None
-        stack.ree_npu.fault_injector = None
-        stack.tee_npu.fault_injector = None
+        set_hook(target, "fault_injector", None)
 
     # ------------------------------------------------------------------
-    @property
-    def total_fired(self) -> int:
-        return sum(self.fired.values())
-
     def summary(self) -> Dict[str, Dict[str, int]]:
         """Deterministic per-site ``{checked, fired}`` export."""
         return {

@@ -55,9 +55,6 @@ class NPUJob:
     completed_at: float = -1.0
     faulted: Optional[str] = None
 
-    def all_ranges(self) -> List[AddrRange]:
-        return [self.commands, self.io_pagetable] + list(self.inputs) + list(self.outputs)
-
 
 class NPU:
     """Single-queue NPU device (one job in flight, as driven by the driver)."""
@@ -91,10 +88,6 @@ class NPU:
     @property
     def busy(self) -> bool:
         return self._current is not None
-
-    @property
-    def current_job(self) -> Optional[NPUJob]:
-        return self._current
 
     def wait_idle(self) -> Event:
         """Event that triggers as soon as no job is in flight."""

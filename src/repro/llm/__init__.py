@@ -15,7 +15,6 @@ from .graph import (
     ComputeOp,
     build_batched_decode_graph,
     build_chunked_prefill_graph,
-    build_decode_step_graph,
     build_prefill_graph,
 )
 from .kv_cache import (
@@ -75,7 +74,6 @@ __all__ = [
     "Tokenizer",
     "build_batched_decode_graph",
     "build_chunked_prefill_graph",
-    "build_decode_step_graph",
     "build_prefill_graph",
     "build_tensor_table",
     "checkpoint_path",

@@ -29,7 +29,6 @@ __all__ = [
     "ComputationGraph",
     "build_prefill_graph",
     "build_chunked_prefill_graph",
-    "build_decode_step_graph",
     "build_batched_decode_graph",
     "attention_ops",
     "size_decode_attention",
@@ -67,12 +66,6 @@ class ComputationGraph:
 
     def op(self, op_id: int) -> ComputeOp:
         return self._by_id[op_id]
-
-    def total_flops(self) -> float:
-        return sum(op.flops for op in self.ops)
-
-    def total_param_bytes(self) -> int:
-        return sum(op.param_bytes for op in self.ops)
 
     def tensors_in_order(self) -> List[TensorMeta]:
         """Parameter tensors in first-use (topological) order."""
@@ -227,23 +220,6 @@ def build_chunked_prefill_graph(
     return graph
 
 
-def build_decode_step_graph(
-    model: ModelSpec,
-    tensors: Sequence[TensorMeta],
-    kv_tokens: int,
-    use_npu: Union[bool, str] = "auto",
-    platform: Optional[PlatformSpec] = None,
-) -> ComputationGraph:
-    """One decode iteration with ``kv_tokens`` of context (single token).
-
-    Decode is bandwidth-bound: each matmul streams its weights once; the
-    attention op additionally streams the KV cache.
-    """
-    graph = build_prefill_graph(model, tensors, 1, use_npu=use_npu, platform=platform)
-    size_decode_attention(model, attention_ops(graph), [kv_tokens])
-    return graph
-
-
 def attention_ops(graph: ComputationGraph) -> List[ComputeOp]:
     """The self-attention operators of ``graph``, in chain order."""
     return [op for op in graph.ops if op.name.endswith(".attention")]
@@ -284,10 +260,11 @@ def build_batched_decode_graph(
     """One *fused* decode iteration over a batch of sequences.
 
     ``kv_token_counts`` holds the per-sequence context length; the batch
-    size is its length.  This is where batching pays: per step the
-    weight matmuls stream their parameters **once** (the setup cost, a
-    fixed per-step charge) while their flops scale with the batch (the
-    per-token marginal cost) — decode is bandwidth-bound, so the roofline
+    size is its length, and a batch of one is single-stream decode.
+    This is where batching pays: per step the weight matmuls stream
+    their parameters **once** (the setup cost, a fixed per-step charge)
+    while their flops scale with the batch (the per-token marginal
+    cost) — decode is bandwidth-bound, so the roofline
     ``max(flops/rate, bytes/bandwidth)`` barely moves until the batch is
     large enough to make compute dominate.  Attention reads every
     sequence's own KV blocks, so both its flops and bytes are sums over

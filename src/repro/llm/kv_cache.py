@@ -72,10 +72,6 @@ class KVCache:
     def bytes_used(self) -> int:
         return self.model.kv_bytes(self.tokens)
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.model.kv_bytes(self.capacity_tokens)
-
     def init_prompt(self, prompt_tokens: int) -> None:
         if self.tokens:
             # A retried prefill must go through reset() first; silently
@@ -264,10 +260,6 @@ class KVBlockPool:
         """Block allocations avoided by sharing right now: holder
         references in excess of the physical blocks backing them."""
         return self.total_refs - (self._cats[_ACTIVE] + self._cats[_PARKED])
-
-    @property
-    def shared_saved_bytes(self) -> int:
-        return self.shared_saved_blocks * self.block_bytes
 
     @property
     def bytes_used(self) -> int:

@@ -144,9 +144,6 @@ class ModelSpec:
         )
         return 2.0 * active * tokens
 
-    def decode_flops_per_token(self) -> float:
-        return self.prefill_flops(1)
-
 
 def _mk(**kwargs) -> ModelSpec:
     return ModelSpec(**kwargs)

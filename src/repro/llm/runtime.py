@@ -36,7 +36,7 @@ from .graph import (
     ComputationGraph,
     ComputeOp,
     attention_ops,
-    build_decode_step_graph,
+    build_batched_decode_graph,
     size_decode_attention,
 )
 from .kv_cache import KVCache
@@ -337,8 +337,8 @@ def decode_tokens(
     """
     sim = executor.sim
     result = DecodeResult()
-    graph = build_decode_step_graph(
-        model, tensors, kv.tokens, use_npu=use_npu, platform=executor.platform
+    graph = build_batched_decode_graph(
+        model, tensors, [kv.tokens], use_npu=use_npu, platform=executor.platform
     )
     attention = attention_ops(graph)
     for step in range(n_tokens):

@@ -187,18 +187,6 @@ class AlertEngine:
             # Let ServeGateway.health() report firing alerts.
             gateway.alert_engine = self
 
-    # ------------------------------------------------------------------
-    def add_rule(self, rule) -> "AlertEngine":
-        if rule.name in self._states:
-            raise ConfigurationError("duplicate alert rule name %r" % (rule.name,))
-        if isinstance(rule, RateRule) and self.store is None:
-            raise ConfigurationError(
-                "RateRule %r needs AlertEngine(store=...)" % (rule.name,)
-            )
-        self.rules.append(rule)
-        self._states[rule.name] = _RuleState()
-        return self
-
     def start(self, until: float) -> None:
         """Spawn the ticker process, evaluating every ``interval`` until
         ``until`` (bounded, so a plain ``sim.run()`` still drains)."""

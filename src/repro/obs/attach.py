@@ -1,11 +1,11 @@
-"""Attach observability to a running stack, mirroring fault arming.
+"""Attach observability to a running stack, the way faults are armed.
 
 Components expose ``metrics`` / ``recorder`` attributes (None by
 default) and consult them at their instrumentation points — the same
 convention :class:`~repro.faults.injector.FaultInjector` uses for
-``fault_injector``.  :func:`instrument` walks a stack (or a system
-exposing one via ``.stack``) and sets both on every instrumented
-component, so a single call makes the whole platform observable:
+``fault_injector``.  :func:`instrument` sets both on every hook site of
+a stack or system (:func:`repro.stack.hook_sites`), so a single call
+makes the whole platform observable:
 
     obs = instrument(system)
     system.run_infer(64, 8)
@@ -14,27 +14,11 @@ component, so a single call makes the whole platform observable:
 
 from __future__ import annotations
 
+from ..stack import set_hook
 from .recorder import FlightRecorder
 from .registry import MetricsRegistry
 
 __all__ = ["Observability", "instrument"]
-
-# Components that carry ``metrics``/``recorder`` attach points, per stack.
-_SITED = (
-    "kernel.fs.flash",
-    "board.tzasc",
-    "board.monitor",
-    "tz_driver",
-    "ree_npu",
-    "tee_npu",
-)
-
-
-def _resolve(stack, dotted):
-    obj = stack
-    for part in dotted.split("."):
-        obj = getattr(obj, part)
-    return obj
 
 
 class Observability:
@@ -48,28 +32,16 @@ class Observability:
         )
 
     def attach(self, target) -> "Observability":
-        """Wire this bundle into every instrumented component of ``target``.
+        """Wire this bundle into every hook site of ``target``
+        (:func:`~repro.stack.hook_sites`).
 
         ``target`` may be a :class:`~repro.stack.Stack` or any system
         object exposing one via ``.stack`` (``TZLLM``, ``REELLM``).
         Returns self for chaining.
         """
         stack = getattr(target, "stack", target)
-        for dotted in _SITED:
-            try:
-                component = _resolve(stack, dotted)
-            except AttributeError:
-                continue
-            component.metrics = self.registry
-            component.recorder = self.recorder
-        for region in stack.kernel.cma_regions.values():
-            region.metrics = self.registry
-            region.recorder = self.recorder
-        # TAs take metrics for the pipeline phase accounting and the
-        # recorder for retry provenance.
-        for ta in getattr(target, "tas", {}).values():
-            ta.metrics = self.registry
-            ta.recorder = self.recorder
+        set_hook(target, "metrics", self.registry)
+        set_hook(target, "recorder", self.recorder)
         # Remember the bundle on both handles so late-comers (gateway,
         # fault injector) can discover it.
         stack.observability = self
@@ -80,19 +52,8 @@ class Observability:
     def detach(self, target) -> None:
         """Remove this bundle from ``target``'s components (data kept)."""
         stack = getattr(target, "stack", target)
-        for dotted in _SITED:
-            try:
-                component = _resolve(stack, dotted)
-            except AttributeError:
-                continue
-            component.metrics = None
-            component.recorder = None
-        for region in stack.kernel.cma_regions.values():
-            region.metrics = None
-            region.recorder = None
-        for ta in getattr(target, "tas", {}).values():
-            ta.metrics = None
-            ta.recorder = None
+        set_hook(target, "metrics", None)
+        set_hook(target, "recorder", None)
         stack.observability = None
         if target is not stack:
             target.observability = None

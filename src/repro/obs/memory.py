@@ -46,6 +46,7 @@ import time
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+from ..stack import set_hook
 from .alerts import BurnRateRule, ThresholdRule
 
 __all__ = [
@@ -134,40 +135,32 @@ class MemoryTimeline:
         #: timeline's self-attributed sampling cost).
         self.host_seconds = 0.0
         self._gauges = None
-        self._attached: List[object] = []
+        #: the system :meth:`attach` hooked, for :meth:`detach`.
+        self._target = None
 
     # ------------------------------------------------------------------
     # attach / detach
     # ------------------------------------------------------------------
     def attach(self, target) -> "MemoryTimeline":
-        """Wire the timeline hooks into ``target`` (a TZLLM-like system)."""
+        """Wire the timeline hook into ``target`` (a TZLLM-like system):
+        every hook site that declares ``timeline`` — the TZASC, the TAs'
+        secure regions and their block pools — then learn the slot names
+        and pools the events will refer to."""
+        set_hook(target, "timeline", self)
+        self._target = target
         stack = getattr(target, "stack", target)
-        board = getattr(stack, "board", None)
-        tzasc = getattr(board, "tzasc", None)
-        if tzasc is not None:
-            tzasc.timeline = self
-            self._attached.append(tzasc)
-            for slot, region in getattr(tzasc, "_regions", {}).items():
-                self._slot_bytes[slot] = region.range.size
+        for slot, region in stack.board.tzasc._regions.items():
+            self._slot_bytes[slot] = region.range.size
         for ta in getattr(target, "tas", {}).values():
-            for region, is_params in (
-                (getattr(ta, "params_region", None), True),
-                (getattr(ta, "data_region", None), False),
-            ):
-                if region is None:
-                    continue
-                region.timeline = self
-                self._attached.append(region)
+            for region in (ta.params_region, ta.data_region):
                 self._slot_names[region.tzasc_slot] = region.name
-                if is_params:
-                    self._param_slots.add(region.tzasc_slot)
-            engine = getattr(ta, "batch_engine", None)
+            self._param_slots.add(ta.params_region.tzasc_slot)
+            engine = ta.batch_engine
             if engine is not None:
-                data_region = getattr(ta, "data_region", None)
                 self.register_pool(
                     engine.pool,
                     name=ta.model.model_id,
-                    slot=None if data_region is None else data_region.tzasc_slot,
+                    slot=ta.data_region.tzasc_slot,
                     fixed_bytes=engine.fixed_bytes,
                 )
         self.configured_bytes = sum(self._slot_bytes.values())
@@ -175,18 +168,18 @@ class MemoryTimeline:
         return self
 
     def detach(self) -> None:
-        for component in self._attached:
-            component.timeline = None
-        self._attached = []
+        """Unhook the timeline from the attached target (data kept)."""
+        if self._target is not None:
+            set_hook(self._target, "timeline", None)
+            self._target = None
 
     def register_pool(
         self, pool, name: str, slot: Optional[int] = None, fixed_bytes: int = 0
     ) -> None:
         """Track ``pool`` under ``name`` (its model id), optionally bound
-        to the TZASC slot whose bytes back it."""
-        pool.timeline = self
+        to the TZASC slot whose bytes back it.  The pool's ``timeline``
+        hook is set by :meth:`attach`."""
         self._pools[id(pool)] = _PoolStats(pool, name, slot, fixed_bytes)
-        self._attached.append(pool)
 
     # ------------------------------------------------------------------
     # derived quantities

@@ -60,7 +60,6 @@ class REENPUDriver:
         #: the governor must treat this window as activity (the device
         #: looks idle during the SMC hand-off, but a launch is imminent).
         self._in_flight: Optional[Union[NPUJob, ShadowJob]] = None
-        self.initialized = False
         self.power_management = power_management
         self.jobs_launched = 0
         self.shadow_jobs_forwarded = 0
@@ -86,7 +85,6 @@ class REENPUDriver:
         sim.process(self._scheduler(), name="ree-npu-scheduler")
         if power_management:
             sim.process(self._power_governor(), name="ree-npu-power")
-        self.initialized = True
 
     # ------------------------------------------------------------------
     # submission API
@@ -215,15 +213,6 @@ class REENPUDriver:
     def _on_irq(self, irq: int, job: NPUJob) -> None:
         if self._running_done is not None and not self._running_done.triggered:
             self._running_done.succeed(job)
-
-    # ------------------------------------------------------------------
-    # control-plane costs
-    # ------------------------------------------------------------------
-    def reinitialize(self):
-        """Full driver re-init (the rejected detach-attach design, 32 ms)."""
-        self.initialized = False
-        yield self.sim.timeout(self.npu.spec.driver_reinit_time)
-        self.initialized = True
 
     # ------------------------------------------------------------------
     # attacks (compromised REE kernel)

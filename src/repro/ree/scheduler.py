@@ -78,10 +78,6 @@ class REEScheduler:
         """Let an attacker permute the run queue at every dispatch."""
         self._order_hook = hook
 
-    @property
-    def alive_threads(self) -> int:
-        return sum(1 for t in self._threads.values() if not t.finished)
-
     def _enqueue(self, thread: REEThread) -> None:
         self._run_queue.append(thread.thread_id)
         if self._wake is not None and not self._wake.triggered:

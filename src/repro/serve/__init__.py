@@ -35,7 +35,7 @@ dispatch under a mixed multi-tenant trace.
 from .admission import AdmissionController, ServiceTimePredictor
 from .breaker import CircuitBreaker, classify_failure
 from .classes import ClassPolicy, PriorityClass, default_policies
-from .errors import AdmissionRejected, CircuitOpen, QueueFull, SLOUnattainable
+from .errors import AdmissionRejected, CircuitOpen, ContextTooLong, QueueFull, SLOUnattainable
 from .gateway import GatewayConfig, ServeGateway
 from .loadgen import LoadGenerator
 from .request import ServeRequest
@@ -46,6 +46,7 @@ __all__ = [
     "AdmissionRejected",
     "CircuitBreaker",
     "CircuitOpen",
+    "ContextTooLong",
     "ClassPolicy",
     "GatewayConfig",
     "GaugeSeries",

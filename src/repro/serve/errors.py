@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from ..errors import TZLLMError
 
-__all__ = ["AdmissionRejected", "CircuitOpen", "QueueFull", "SLOUnattainable"]
+__all__ = [
+    "AdmissionRejected",
+    "CircuitOpen",
+    "ContextTooLong",
+    "QueueFull",
+    "SLOUnattainable",
+]
 
 
 class AdmissionRejected(TZLLMError):
@@ -45,3 +51,11 @@ class CircuitOpen(AdmissionRejected):
     queueing behind a broken dependency."""
 
     reason = "circuit-open"
+
+
+class ContextTooLong(AdmissionRejected):
+    """Prompt plus output exceed the model TA's ``max_tokens``: the TA
+    would reject the turn after an SMC, so it is turned away at the door
+    instead of failing on (and counting against) the lane."""
+
+    reason = "context-too-long"

@@ -43,7 +43,7 @@ from ..workloads.traces import TenantRequest
 from .admission import AdmissionController, ServiceTimePredictor
 from .breaker import CircuitBreaker, classify_failure
 from .classes import ClassPolicy, PriorityClass, default_policies
-from .errors import CircuitOpen
+from .errors import CircuitOpen, ContextTooLong
 from .request import ServeRequest
 from .slo import SLOAccountant
 
@@ -97,13 +97,16 @@ class _Lane:
     batching — the paper's single-stream TA)."""
 
     __slots__ = (
-        "model_id", "capacity", "running", "gates", "dispatched_at", "breaker",
-        "probe_armed", "kv_blocked_id",
+        "model_id", "capacity", "max_tokens", "running", "gates", "dispatched_at",
+        "breaker", "probe_armed", "kv_blocked_id",
     )
 
     def __init__(self, model_id: str, breaker: CircuitBreaker, capacity: int = 1):
         self.model_id = model_id
         self.capacity = capacity
+        #: the TA's prompt + output limit, checked at admission (None:
+        #: the TA has none, as on a fleet surrogate).
+        self.max_tokens: Optional[int] = None
         self.running: List[ServeRequest] = []
         self.gates: Dict[int, PreemptionGate] = {}
         self.dispatched_at = 0.0
@@ -201,6 +204,7 @@ class ServeGateway:
             if m in self._tas:
                 capacity = self._tas[m].batch_engine.config.max_batch_size
             self.lanes[m] = _Lane(m, breaker, capacity=capacity)
+            self.lanes[m].max_tokens = getattr(system.tas[m], "max_tokens", None)
         #: requests seated on any lane, kept where lanes seat and unseat
         #: them — with the admission controller's queued count, the
         #: fleet router's O(1) load signal.
@@ -279,13 +283,22 @@ class ServeGateway:
             prompt_spec=prompt_spec,
         )
         request.trace = ctx if ctx is not None else TraceContext(request.request_id, tenant=tenant)
+        lane = self.lanes[model_id]
         try:
-            if self.lanes[model_id].breaker.state == "open" and not self.lanes[model_id].breaker.allow():
+            if lane.max_tokens is not None and prompt_tokens + output_tokens > lane.max_tokens:
+                request.state = "rejected"
+                request.rejected_reason = ContextTooLong.reason
+                raise ContextTooLong(
+                    "%d prompt + %d output tokens exceed %s's max_tokens (%d)"
+                    % (prompt_tokens, output_tokens, model_id, lane.max_tokens),
+                    request=request,
+                )
+            if lane.breaker.state == "open" and not lane.breaker.allow():
                 request.state = "rejected"
                 request.rejected_reason = CircuitOpen.reason
                 raise CircuitOpen(
                     "lane %s cooling down for another %.3fs"
-                    % (model_id, self.lanes[model_id].breaker.remaining_cooldown()),
+                    % (model_id, lane.breaker.remaining_cooldown()),
                     request=request,
                 )
             self.admission.admit(request, self._predicted_wait(model_id, cls), self.config.scheduling)

@@ -5,12 +5,16 @@ the REE kernel with its CMA regions, the TrustZone driver, the TEE OS with
 a hardware key store, and the two cooperating NPU drivers.  The LLM
 systems in :mod:`repro.core.system` build on top of this; unit tests and
 examples use it directly.
+
+:func:`hook_sites` lists the components observers attach to, and
+:func:`set_hook` sets one hook on all of them: metrics, flight recorder,
+memory timeline, fault injector and pipeline tracer all attach this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .config import MiB, PlatformSpec, RK3588
 from .crypto.keys import HardwareKeyStore
@@ -22,7 +26,7 @@ from .sim import Simulator
 from .tee.npu_driver import TEENPUDriver
 from .tee.os import TEEOS
 
-__all__ = ["Stack", "build_stack"]
+__all__ = ["Stack", "build_stack", "hook_sites", "set_hook"]
 
 
 @dataclass
@@ -90,3 +94,40 @@ def build_stack(
         tee_npu=tee_npu,
         name=name,
     )
+
+
+def hook_sites(target) -> List[object]:
+    """Every component of ``target`` that carries observer hooks.
+
+    ``target`` is a :class:`Stack` or a system exposing one via
+    ``.stack`` (``TZLLM``, ``REELLM``).  The sites are the stack's flash,
+    TZASC, secure monitor, TZ driver, both NPU drivers and every CMA
+    region, then each TA in ``target.tas`` with its params and data
+    secure regions and, when batched, its KV block pool.  Each site
+    declares the hooks it consults (``metrics``, ``recorder``,
+    ``timeline``, ``fault_injector``, ``tracer``) as attributes that
+    default to None (``NULL_TRACER`` for tracers).
+    """
+    stack = getattr(target, "stack", target)
+    sites: List[object] = [
+        stack.kernel.fs.flash,
+        stack.board.tzasc,
+        stack.board.monitor,
+        stack.tz_driver,
+        stack.ree_npu,
+        stack.tee_npu,
+    ]
+    sites.extend(stack.kernel.cma_regions.values())
+    for ta in getattr(target, "tas", {}).values():
+        sites.extend((ta, ta.params_region, ta.data_region))
+        if ta.batch_engine is not None:
+            sites.append(ta.batch_engine.pool)
+    return sites
+
+
+def set_hook(target, name: str, value) -> None:
+    """Set hook ``name`` to ``value`` on every site of ``target`` that
+    declares it (see :func:`hook_sites`)."""
+    for site in hook_sites(target):
+        if hasattr(site, name):
+            setattr(site, name, value)

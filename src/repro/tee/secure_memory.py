@@ -68,10 +68,6 @@ class SecureRegion:
     def protected_end(self) -> int:
         return self.base_addr + self.protected
 
-    @property
-    def protected_range(self) -> AddrRange:
-        return AddrRange(self.base_addr, self.protected)
-
     def _check_granule(self, n_bytes: int) -> None:
         if n_bytes <= 0 or n_bytes % self.granule != 0:
             raise ConfigurationError(
@@ -162,9 +158,3 @@ class SecureRegion:
         if delta > 0:
             self.allocated -= delta
             yield from self.tee_os.tz_call("ree.cma_release", self.cma_name, delta)
-
-    def offset_range(self, offset: int, size: int) -> AddrRange:
-        """Address range at a byte offset within the region."""
-        if offset < 0 or offset + size > self.capacity:
-            raise ConfigurationError("offset range outside region capacity")
-        return AddrRange(self.base_addr + offset, size)

@@ -10,14 +10,16 @@ from repro.llm import (
     GraphExecutor,
     KVCache,
     DirectNPUBackend,
+    MODELS,
     REEDriverNPUBackend,
-    build_decode_step_graph,
+    build_batched_decode_graph,
     build_prefill_graph,
     build_tensor_table,
     decode_tokens,
     get_model,
     op_duration,
 )
+from repro.llm.graph import attention_ops, size_decode_attention
 from repro.ree.npu_driver import REENPUDriver
 from repro.sim import Resource, Simulator
 
@@ -73,13 +75,33 @@ def test_decode_auto_engine_gain_increases_with_model_size():
     for model_id in ("tinyllama-1.1b-q8", "llama-3-8b-q8"):
         spec = get_model(model_id)
         table = build_tensor_table(spec)
-        cpu = total_time(build_decode_step_graph(spec, table, 128, use_npu=False, platform=PLATFORM))
-        auto = total_time(build_decode_step_graph(spec, table, 128, use_npu="auto", platform=PLATFORM))
+        cpu = total_time(build_batched_decode_graph(spec, table, [128], use_npu=False, platform=PLATFORM))
+        auto = total_time(build_batched_decode_graph(spec, table, [128], use_npu="auto", platform=PLATFORM))
         gains[model_id] = cpu / auto - 1.0
     # Paper §7.1.2: decode gains are modest, and bandwidth-bound decode
     # benefits large models more than small ones.
     assert 0.0 <= gains["tinyllama-1.1b-q8"] < 0.05
     assert 0.10 < gains["llama-3-8b-q8"] < 0.30
+
+
+@pytest.mark.parametrize("kv_tokens", [1, 7, 128, 1000])
+@pytest.mark.parametrize("use_npu", [True, False, "auto"])
+@pytest.mark.parametrize("model_id", sorted(MODELS))
+def test_batch_of_one_decode_graph_is_the_single_stream_graph(model_id, use_npu, kv_tokens):
+    """Single-stream decode builds the fused graph over one sequence; it
+    must equal, op for op, the one-token prefill chain with attention
+    priced over the KV cache (the former single-stream builder)."""
+    spec = MODELS[model_id]
+    table = build_tensor_table(spec)
+    reference = build_prefill_graph(spec, table, 1, use_npu=use_npu, platform=PLATFORM)
+    size_decode_attention(spec, attention_ops(reference), [kv_tokens])
+    graph = build_batched_decode_graph(spec, table, [kv_tokens], use_npu=use_npu, platform=PLATFORM)
+
+    def fields(op):
+        return (op.op_id, op.name, op.engine, op.layer, op.flops,
+                op.bytes_touched, op.tensors, op.deps)
+
+    assert [fields(op) for op in graph.ops] == [fields(op) for op in reference.ops]
 
 
 def test_decode_npu_speedup_anchor_1_3x():

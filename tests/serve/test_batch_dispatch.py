@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import BatchConfig, TZLLM
 from repro.errors import ConfigurationError
-from repro.llm import TINYLLAMA
-from repro.serve import GatewayConfig, ServeGateway
+from repro.llm import TINYLLAMA, PromptSpec
+from repro.serve import ContextTooLong, GatewayConfig, ServeGateway
 
 
 def make_system(max_batch_size=2, **kwargs):
@@ -76,22 +76,52 @@ def test_kv_budget_blocks_head_of_line():
 
 
 def test_rejected_request_returns_its_kv_hold():
-    """Turns longer than the TA's max_tokens are reserved at dispatch and
-    then rejected by the TA; their blocks come back, so the queue behind
-    them does not deadlock on leaked holds."""
+    """Turns whose prompt spec contradicts their token count pass
+    admission, are reserved at dispatch and then rejected by the TA;
+    their blocks come back, so the queue behind them does not deadlock
+    on leaked holds."""
     system = make_system(max_batch_size=4, max_tokens=1024)  # 256 blocks
     gateway = make_gateway(system)
     pool = system.ta.batch_engine.pool
-    too_long = [gateway.submit(1200, 68, priority="batch") for _ in range(4)]
+    wrong_spec = PromptSpec(session_id="s", new_tokens=16)  # covers 16, not 1000
+    mismatched = [
+        gateway.submit(1000, 24, priority="batch", prompt_spec=wrong_spec)
+        for _ in range(4)
+    ]
     short = gateway.submit(64, 8, priority="batch", tenant="short")
-    # Three seat (240 of 256 blocks held); the fourth and the short turn
-    # behind it wait for blocks only the rejections can free.
-    assert pool.reserved == 240 and gateway.queue_depth == 2
-    drain(gateway, too_long + [short])
-    assert all(r.failed for r in too_long)
+    # All four seat (4 x 64 = 256 blocks held); the short turn behind
+    # them waits for blocks only the rejections can free.
+    assert pool.reserved == 256 and gateway.queue_depth == 1
+    drain(gateway, mismatched + [short])
+    assert all(r.failed for r in mismatched)
     assert pool.reserved == 0
     pool.check_conservation()
     assert short.done
+
+
+def test_over_long_turn_is_rejected_at_admission():
+    """A turn longer than the TA's max_tokens is turned away at the door:
+    it costs no SMC and no KV hold, and it does not count against the
+    lane's breaker, so the next tenant's valid turn is served."""
+    system = make_system(max_batch_size=4, max_tokens=1024)
+    gateway = make_gateway(system)
+    pool = system.ta.batch_engine.pool
+    monitor = system.stack.board.monitor
+    breaker = gateway.lanes[TINYLLAMA.model_id].breaker
+    smc0 = monitor.smc_count
+    for _ in range(3):
+        with pytest.raises(ContextTooLong) as info:
+            gateway.submit(1000, 100, priority="batch", tenant="long")
+        assert info.value.request.state == "rejected"
+        assert info.value.request.rejected_reason == ContextTooLong.reason
+    assert monitor.smc_count == smc0
+    assert pool.reserved == 0 and gateway.queue_depth == 0
+    assert breaker.state == "closed" and breaker.consecutive_failures == 0
+    valid = gateway.submit(64, 4, tenant="short")
+    drain(gateway, [valid])
+    assert valid.done and not valid.failed
+    assert breaker.state == "closed"
+    assert not gateway.failed
 
 
 # ----------------------------------------------------------------------
