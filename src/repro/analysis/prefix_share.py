@@ -20,10 +20,10 @@ paged KV cache would:
 
 A bounded LRU over ``cache_blocks`` blocks models the secure region's
 capacity; an unbounded pass (``cache_blocks=None``) gives the
-no-capacity-limit upper bound.  Savings are priced with the same
-analytic prefill model the fleet surrogate uses, so "saved prefill
-seconds" and the projected TTFT deltas are directly comparable to
-simulated fleet timings.
+no-capacity-limit upper bound.  Savings are priced with
+:func:`~repro.llm.ops.prefill_seconds`, the analytic prefill model the
+fleet surrogate uses, so "saved prefill seconds" and the projected TTFT
+deltas are directly comparable to simulated fleet timings.
 
 Deliberately *not* modeled: cross-tenant sharing.  Prefix ids are
 minted per tenant upstream, so a hit never crosses a tenant boundary —
@@ -37,24 +37,11 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..llm.ops import prefill_seconds
 from .metrics import mean, percentile
 from .tables import render_table
 
 __all__ = ["PrefixShareReport", "TenantShareRow", "analyze_prefix_sharing"]
-
-
-def _prefill_seconds(platform, model, tokens: int, use_npu: bool) -> float:
-    """The fleet surrogate's analytic prefill time (kept in lockstep
-    with :meth:`~repro.fleet.surrogate.SurrogateLLM.prefill_time`)."""
-    if tokens <= 0:
-        return 0.0
-    flops = model.prefill_flops(tokens)
-    if use_npu:
-        cpu_frac = platform.timing.cpu_resident_prefill_fraction
-        npu_part = flops * (1.0 - cpu_frac) / (platform.npu.effective_gflops * 1e9)
-        cpu_part = flops * cpu_frac / (platform.cpu.effective_gflops * 1e9)
-        return platform.npu.job_launch_latency + npu_part + cpu_part
-    return flops / (platform.cpu.effective_gflops * 1e9)
 
 
 @dataclass
@@ -262,8 +249,8 @@ def analyze_prefix_sharing(
                 covered += block_tokens
 
         hit_tokens = min(prompt, (prefix_hits + session_hits) * block_tokens)
-        full = _prefill_seconds(platform, model, prompt, use_npu)
-        residual = _prefill_seconds(platform, model, prompt - hit_tokens, use_npu)
+        full = prefill_seconds(platform, model, prompt, use_npu)
+        residual = prefill_seconds(platform, model, prompt - hit_tokens, use_npu)
         saved = max(0.0, full - residual)
 
         report.requests += 1

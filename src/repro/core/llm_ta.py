@@ -16,7 +16,7 @@ cache-policy-driven parameter release.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from ..config import PlatformSpec

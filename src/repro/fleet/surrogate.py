@@ -37,6 +37,7 @@ from ..config import GiB, PlatformSpec, RK3588
 from ..core.llm_ta import InferenceRecord
 from ..errors import ConfigurationError, DeviceLost
 from ..llm.models import ModelSpec
+from ..llm.ops import prefill_seconds
 from ..llm.runtime import DecodeResult
 
 __all__ = ["SurrogateConfig", "SurrogateLLM", "scale_platform"]
@@ -167,14 +168,9 @@ class SurrogateLLM:
         return framework + model.param_bytes / bottleneck
 
     def prefill_time(self, model: ModelSpec, prompt_tokens: int) -> float:
-        spec = self.platform
-        flops = model.prefill_flops(max(1, prompt_tokens))
-        if self.config.use_npu:
-            cpu_frac = spec.timing.cpu_resident_prefill_fraction
-            npu_part = flops * (1.0 - cpu_frac) / (spec.npu.effective_gflops * 1e9)
-            cpu_part = flops * cpu_frac / (spec.cpu.effective_gflops * 1e9)
-            return spec.npu.job_launch_latency + npu_part + cpu_part
-        return flops / (spec.cpu.effective_gflops * 1e9)
+        return prefill_seconds(
+            self.platform, model, max(1, prompt_tokens), self.config.use_npu
+        )
 
     def decode_time_per_token(self, model: ModelSpec) -> float:
         """Single-batch decode streams the weights once per token."""

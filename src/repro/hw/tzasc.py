@@ -89,7 +89,7 @@ class TZASC:
                 "slot %d: %d -> %d bytes" % (slot, old_size, new_size),
             )
         if self.timeline is not None:
-            self.timeline.note_region(op, slot, old_size, new_size)
+            self.timeline.note("region", op, slot, new_size, "", old_size)
 
     # ------------------------------------------------------------------
     # programming interface (secure world only)

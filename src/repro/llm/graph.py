@@ -22,7 +22,7 @@ from ..config import PlatformSpec
 from ..errors import ConfigurationError
 from .models import ModelSpec
 from .ops import Engine, op_duration_with_launch
-from .tensors import TensorMeta, TensorRole
+from .tensors import TensorMeta
 
 __all__ = [
     "ComputeOp",

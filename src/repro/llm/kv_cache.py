@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, OutOfMemory
@@ -281,7 +281,7 @@ class KVBlockPool:
             )
         self.reserved += blocks
         if self.timeline is not None:
-            self.timeline.note_reserve(self, blocks, owner)
+            self.timeline.note("kv", "reserve", self, blocks, owner, ())
 
     def cancel_reservation(self, blocks: int, owner: str = "") -> None:
         if blocks < 0 or blocks > self.reserved:
@@ -291,7 +291,7 @@ class KVBlockPool:
             )
         self.reserved -= blocks
         if self.timeline is not None:
-            self.timeline.note_cancel(self, blocks, owner)
+            self.timeline.note("kv", "cancel", self, blocks, owner, ())
 
     # -- allocation and reference lifecycle ----------------------------
     def alloc_block(self, from_reservation: bool = False, owner: str = "") -> int:
@@ -313,7 +313,9 @@ class KVBlockPool:
         self.total_refs += 1
         self.backing_blocks = max(self.backing_blocks, block + 1)
         if self.timeline is not None:
-            self.timeline.note_alloc(self, block, owner, from_reservation)
+            self.timeline.note(
+                "kv", "alloc", self, block, owner, 1 if from_reservation else 0
+            )
         return block
 
     def _state(self, block: int) -> List[int]:
@@ -347,7 +349,7 @@ class KVBlockPool:
         self.total_refs += 1
         self._recategorize(state, before)
         if self.timeline is not None:
-            self.timeline.note_ref(self, block, owner, _CATEGORY_NAMES[before])
+            self.timeline.note("kv", "ref", self, block, owner, _CATEGORY_NAMES[before])
 
     def cow_block(
         self,
@@ -362,7 +364,7 @@ class KVBlockPool:
         block = self.alloc_block(from_reservation=from_reservation, owner=owner)
         self.cows += 1
         if self.timeline is not None:
-            self.timeline.note_cow(self, src, block, owner, tokens)
+            self.timeline.note("kv", "cow", self, tokens, owner, (src, block))
         return block
 
     def release_block(self, block: int, owner: str = "", parked: bool = False) -> None:
@@ -381,15 +383,11 @@ class KVBlockPool:
         if state[_ACTIVE] == 0 and state[_PARKED] == 0 and not state[_CACHED]:
             self._free_block(block, owner, _CATEGORY_NAMES[before])
         else:
-            changed = self._recategorize(state, before)
+            self._recategorize(state, before)
             if self.timeline is not None:
-                after = self._category(state)
-                self.timeline.note_unref(
-                    self,
-                    block,
-                    owner,
-                    _CATEGORY_NAMES[before],
-                    _CATEGORY_NAMES[after] if changed else _CATEGORY_NAMES[before],
+                after = _CATEGORY_NAMES[self._category(state)]
+                self.timeline.note(
+                    "kv", "unref", self, block, owner, (_CATEGORY_NAMES[before], after)
                 )
 
     def _free_block(self, block: int, owner: str, category: str) -> None:
@@ -399,7 +397,7 @@ class KVBlockPool:
         if self.used_blocks == 0:
             self.backing_blocks = 0
         if self.timeline is not None:
-            self.timeline.note_release(self, block, owner, category)
+            self.timeline.note("kv", "release", self, block, owner, category)
 
     # -- park/restore (per-reference, shared-safe) ---------------------
     def park_block(self, block: int) -> bool:
@@ -432,7 +430,7 @@ class KVBlockPool:
         state[_CACHED] = 1
         self._recategorize(state, before)
         if self.timeline is not None:
-            self.timeline.note_cache(self, block, owner)
+            self.timeline.note("kv", "cache", self, 1, owner, block)
 
     def uncache_block(self, block: int, owner: str = "") -> None:
         state = self._state(block)
@@ -445,7 +443,7 @@ class KVBlockPool:
         else:
             self._recategorize(state, before)
         if self.timeline is not None:
-            self.timeline.note_uncache(self, block, owner)
+            self.timeline.note("kv", "uncache", self, 1, owner, block)
 
     def refcount(self, block: int) -> int:
         state = self._blocks.get(block)
@@ -850,8 +848,8 @@ class PagedKVCache:
                 if self.pool.park_block(block):
                     moved += 1
             if self.pool.timeline is not None:
-                self.pool.timeline.note_park(
-                    self.pool, checkpoint.block_ids, self.tokens, self.owner, moved
+                self.pool.timeline.note(
+                    "kv", "park", self.pool, moved, self.owner, checkpoint.block_ids
                 )
         return checkpoint
 
@@ -866,6 +864,6 @@ class PagedKVCache:
                 if self.pool.restore_block(block):
                     moved += 1
             if self.pool.timeline is not None:
-                self.pool.timeline.note_restore(
-                    self.pool, checkpoint.block_ids, self.owner, moved
+                self.pool.timeline.note(
+                    "kv", "restore", self.pool, moved, self.owner, checkpoint.block_ids
                 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List
+from typing import Dict
 
 from ..config import GB
 from ..errors import ConfigurationError

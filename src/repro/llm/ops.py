@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from ..config import PlatformSpec
 from ..errors import ConfigurationError
 
-__all__ = ["Engine", "CPU_ENGINE", "NPU_ENGINE", "op_duration"]
+__all__ = ["Engine", "CPU_ENGINE", "NPU_ENGINE", "op_duration", "prefill_seconds"]
 
 
 class Engine:
@@ -62,3 +62,20 @@ def op_duration_with_launch(
     """Roofline duration plus the engine's fixed per-op launch cost."""
     rate, bandwidth, launch = engine_rates(platform, engine)
     return launch + max(flops / rate, bytes_touched / bandwidth)
+
+
+def prefill_seconds(platform: PlatformSpec, model, tokens: int, use_npu: bool) -> float:
+    """Analytic prefill time of ``tokens`` prompt tokens of ``model``:
+    the price the fleet surrogate and the prefix-sharing analyzer both
+    charge.  With the NPU, one launch plus the NPU and CPU-resident
+    shares of the FLOPs; without, every FLOP on the big CPU cluster.
+    Zero tokens cost nothing."""
+    if tokens <= 0:
+        return 0.0
+    flops = model.prefill_flops(tokens)
+    if use_npu:
+        cpu_frac = platform.timing.cpu_resident_prefill_fraction
+        npu_part = flops * (1.0 - cpu_frac) / (platform.npu.effective_gflops * 1e9)
+        cpu_part = flops * cpu_frac / (platform.cpu.effective_gflops * 1e9)
+        return platform.npu.job_launch_latency + npu_part + cpu_part
+    return flops / (platform.cpu.effective_gflops * 1e9)

@@ -11,8 +11,8 @@ with two observers:
 * :class:`MemoryTimeline` — the full-fidelity, event-sourced record.
   Every TZASC region configure/resize/disable and every block-pool
   reserve/alloc/release/park/restore lands in a bounded ring with block
-  ids and owner attribution (``tenant/rNNN``).  The timeline keeps its
-  aggregates incrementally (so reads are O(pools)), integrates
+  ids and owner attribution (``tenant/rNNN``).  The timeline reads its
+  byte and block counts from the pools and the TZASC, integrates
   per-tenant secure **byte-seconds** and the **stranded** byte-seconds
   exactly at event granularity, refreshes ``mem_*`` gauges as a
   telemetry ``pre_scrape`` hook (which is how the series reach the
@@ -28,7 +28,7 @@ with two observers:
 
 **Stranded capacity** is the headline series: ``configured - live``,
 where *live* counts resident parameter bytes, activation scratch and KV
-blocks in use (active + parked).  It is exactly the capacity an elastic
+blocks holding content (active + parked + cached).  It is exactly the capacity an elastic
 isolation mechanism would hand back to the REE — measured here before
 anyone builds the mechanism.
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, List, Optional, Tuple
 
 from ..stack import set_hook
@@ -59,38 +59,34 @@ __all__ = [
 #: span lanes of :class:`~repro.sim.trace.Tracer` start at 1).
 _MEM_TID = 90
 
+#: region ops a :class:`~repro.tee.secure_memory.SecureRegion` reports by
+#: name right after the TZASC reported the same change by slot.
+_NAMED_OPS = ("protect", "shrink")
 
-class _PoolStats:
-    """Incrementally-maintained per-pool accounting (one per KVBlockPool)."""
+#: the Chrome counter lane's series, in sample order.
+_COUNTERS = ("configured", "kv_live", "kv_parked", "kv_reserved", "shared", "stranded")
 
-    __slots__ = (
-        "pool", "name", "slot", "block_bytes", "fixed_bytes", "total_blocks",
-        "active", "parked", "cached", "refs", "reserved", "allocs",
-        "releases", "parks", "restores", "refs_taken", "cows", "caches",
-        "uncaches",
-    )
+#: (export key, op) of the per-pool event counts in :meth:`MemoryTimeline.to_dict`.
+_OP_COUNTS = (
+    ("allocs", "alloc"), ("releases", "release"), ("parks", "park"),
+    ("restores", "restore"), ("refs_taken", "ref"), ("cows", "cow"),
+    ("caches", "cache"), ("uncaches", "uncache"),
+)
+
+
+class _TrackedPool:
+    """What the timeline knows about one KVBlockPool that the pool does
+    not: its name, the TZASC slot backing it, the fixed activation bytes
+    in that slot, and how many events of each op it reported."""
+
+    __slots__ = ("pool", "name", "slot", "fixed_bytes", "ops")
 
     def __init__(self, pool, name: str, slot: Optional[int], fixed_bytes: int):
         self.pool = pool
         self.name = name
         self.slot = slot
-        self.block_bytes = pool.block_bytes
         self.fixed_bytes = fixed_bytes
-        self.total_blocks = pool.total_blocks
-        # Pick up the pool's current state so mid-run attach balances.
-        self.parked = pool.parked_blocks
-        self.active = pool.active_blocks
-        self.cached = pool.cached_blocks
-        self.refs = pool.total_refs
-        self.reserved = pool.reserved
-        self.allocs = 0
-        self.releases = 0
-        self.parks = 0
-        self.restores = 0
-        self.refs_taken = 0
-        self.cows = 0
-        self.caches = 0
-        self.uncaches = 0
+        self.ops: Counter = Counter()
 
 
 def _tenant_of(owner: str) -> str:
@@ -108,7 +104,10 @@ class MemoryTimeline:
     Attach with :meth:`attach` (sets the ``timeline`` hook attribute on
     the TZASC, the TAs' secure regions and their block pools), then
     optionally :meth:`install` on a telemetry collector to derive the
-    per-scrape ``mem_*`` series.
+    per-scrape ``mem_*`` series.  Byte and block counts are read from
+    the attached pools and the TZASC; the timeline itself keeps only
+    owner attribution, the byte-second integrals, per-op event counts
+    and the event ring.
     """
 
     SCHEMA = "repro.obs.memory/1"
@@ -116,20 +115,23 @@ class MemoryTimeline:
     def __init__(self, sim, capacity: int = 8192):
         self.sim = sim
         self.capacity = capacity
-        #: bounded event ring: (at, kind, op, source, amount, owner, extra)
+        #: bounded event ring: (at, kind, op, source, amount, owner,
+        #: extra, sample), where ``sample`` is the counter-lane tuple
+        #: (``_COUNTERS`` order) taken right after the event, or None for
+        #: the named protect/shrink events.
         self._events: deque = deque(maxlen=capacity)
         self.recorded = 0
-        # -- region state ------------------------------------------------
-        self._slot_bytes: Dict[int, int] = {}
+        #: the TZASC whose regions are the configured bytes (set by attach).
+        self._tzasc = None
         self._slot_names: Dict[int, str] = {}
         self._param_slots: set = set()
-        self.configured_bytes = 0
-        # -- pool state --------------------------------------------------
-        self._pools: Dict[int, _PoolStats] = {}
-        # -- integrals ---------------------------------------------------
+        self._pools: Dict[int, _TrackedPool] = {}
         #: tenant -> [held_bytes_now, byte_seconds_integral]
         self._tenants: Dict[str, List[float]] = {}
         self.stranded_byte_seconds = 0.0
+        #: stranded bytes as of the last event: the value that has held
+        #: since ``_last_t``.
+        self._stranded = 0
         self._last_t = sim.now
         #: host seconds spent in the pre-scrape gauge refresh (the
         #: timeline's self-attributed sampling cost).
@@ -148,9 +150,7 @@ class MemoryTimeline:
         and pools the events will refer to."""
         set_hook(target, "timeline", self)
         self._target = target
-        stack = getattr(target, "stack", target)
-        for slot, region in stack.board.tzasc._regions.items():
-            self._slot_bytes[slot] = region.range.size
+        self._tzasc = getattr(target, "stack", target).board.tzasc
         for ta in getattr(target, "tas", {}).values():
             for region in (ta.params_region, ta.data_region):
                 self._slot_names[region.tzasc_slot] = region.name
@@ -163,7 +163,7 @@ class MemoryTimeline:
                     slot=ta.data_region.tzasc_slot,
                     fixed_bytes=engine.fixed_bytes,
                 )
-        self.configured_bytes = sum(self._slot_bytes.values())
+        self._stranded = self.stranded_bytes
         self._last_t = self.sim.now
         return self
 
@@ -179,49 +179,65 @@ class MemoryTimeline:
         """Track ``pool`` under ``name`` (its model id), optionally bound
         to the TZASC slot whose bytes back it.  The pool's ``timeline``
         hook is set by :meth:`attach`."""
-        self._pools[id(pool)] = _PoolStats(pool, name, slot, fixed_bytes)
+        self._pools[id(pool)] = _TrackedPool(pool, name, slot, fixed_bytes)
 
     # ------------------------------------------------------------------
-    # derived quantities
+    # derived quantities (read from the pools and the TZASC)
     # ------------------------------------------------------------------
+    def _slot_sizes(self) -> Dict[int, int]:
+        """Programmed bytes per TZASC slot, in slot order."""
+        if self._tzasc is None:
+            return {}
+        return {region.slot: region.size for region in self._tzasc.regions()}
+
+    def _slot_name(self, slot: int) -> str:
+        return self._slot_names.get(slot, "slot%d" % slot)
+
+    def _kv_bytes(self, blocks: str) -> int:
+        """``blocks`` (a pool count attribute) in bytes, over every pool."""
+        return sum(
+            getattr(t.pool, blocks) * t.pool.block_bytes for t in self._pools.values()
+        )
+
+    @property
+    def configured_bytes(self) -> int:
+        """Bytes behind every programmed TZASC region."""
+        return sum(self._slot_sizes().values())
+
     @property
     def kv_live_bytes(self) -> int:
-        return sum(s.active * s.block_bytes for s in self._pools.values())
+        return self._kv_bytes("active_blocks")
 
     @property
     def kv_parked_bytes(self) -> int:
-        return sum(s.parked * s.block_bytes for s in self._pools.values())
+        return self._kv_bytes("parked_blocks")
 
     @property
     def kv_reserved_bytes(self) -> int:
-        return sum(s.reserved * s.block_bytes for s in self._pools.values())
+        return self._kv_bytes("reserved")
 
     @property
     def kv_cached_bytes(self) -> int:
         """Unreferenced blocks the prefix tree keeps resident."""
-        return sum(s.cached * s.block_bytes for s in self._pools.values())
+        return self._kv_bytes("cached_blocks")
 
     @property
     def shared_bytes(self) -> int:
         """Block allocations avoided by sharing right now: holder
         references in excess of the physical blocks backing them."""
-        return sum(
-            max(0, s.refs - s.active - s.parked) * s.block_bytes
-            for s in self._pools.values()
-        )
+        return self._kv_bytes("shared_saved_blocks")
 
     @property
     def live_bytes(self) -> int:
         """Bytes whose content is actually in use: resident parameters,
         activation scratch (while its slot is configured), and KV blocks
         holding content (active, parked, or cached for reuse)."""
-        live = 0
-        for slot in self._param_slots:
-            live += self._slot_bytes.get(slot, 0)
-        for s in self._pools.values():
-            live += (s.active + s.parked + s.cached) * s.block_bytes
-            if s.slot is None or self._slot_bytes.get(s.slot, 0) > 0:
-                live += s.fixed_bytes
+        sizes = self._slot_sizes()
+        live = sum(sizes.get(slot, 0) for slot in self._param_slots)
+        for t in self._pools.values():
+            live += t.pool.used_blocks * t.pool.block_bytes
+            if t.slot is None or sizes.get(t.slot, 0) > 0:
+                live += t.fixed_bytes
         return live
 
     @property
@@ -236,7 +252,9 @@ class MemoryTimeline:
 
     @property
     def events(self) -> Tuple[tuple, ...]:
-        return tuple(self._events)
+        """The retained events as ``(at, kind, op, source, amount, owner,
+        extra)``."""
+        return tuple(event[:7] for event in self._events)
 
     @property
     def dropped(self) -> int:
@@ -251,11 +269,11 @@ class MemoryTimeline:
     # ------------------------------------------------------------------
     def _advance(self, now: float) -> None:
         """Bring the byte-second integrals forward to ``now`` using the
-        state that held since the last event (exact: state is piecewise
+        values that held since the last event (exact: state is piecewise
         constant between events)."""
         dt = now - self._last_t
         if dt > 0.0:
-            self.stranded_byte_seconds += self.stranded_bytes * dt
+            self.stranded_byte_seconds += self._stranded * dt
             for cell in self._tenants.values():
                 if cell[0]:
                     cell[1] += cell[0] * dt
@@ -270,164 +288,64 @@ class MemoryTimeline:
         if cell[0] < 0.0:
             cell[0] = 0.0
 
-    def _push(self, at, kind, op, source, amount, owner, extra) -> None:
+    # ------------------------------------------------------------------
+    # the hook
+    # ------------------------------------------------------------------
+    def note(self, kind: str, op: str, source, amount, owner: str, extra) -> None:
+        """Record one event; every hook site calls this right after the
+        change it reports.
+
+        ``kind`` is ``"kv"`` (``source`` is the :class:`~repro.llm
+        .kv_cache.KVBlockPool`) or ``"region"``: a TZASC configure,
+        resize or disable (``source`` is the slot), or a secure region's
+        protect or shrink (``source`` is its name, ``extra`` its slot),
+        which names the change the TZASC reported just before.
+
+        ==========================  ===============  ======================
+        op                          amount           extra
+        ==========================  ===============  ======================
+        reserve, cancel             blocks           ``()``
+        alloc                       block id         1 if from a reservation
+        release (block freed)       block id         bucket it left
+        ref                         block id         bucket it came from
+        unref (block kept)          block id         (from, to) bucket
+        cow (after dst's alloc)     tokens copied    (src, dst)
+        cache, uncache              1                block id
+        park, restore               blocks moved     block ids
+        configure, resize, disable  new bytes        old bytes
+        protect, shrink             protected bytes  slot
+        ==========================  ===============  ======================
+        """
+        now = self.sim.now
+        if op in _NAMED_OPS:
+            self._slot_names[extra] = source
+            sample = None
+        else:
+            self._advance(now)
+            if kind == "kv":
+                tracked = self._pools[id(source)]
+                tracked.ops[op] += 1
+                # A holder gains a block on alloc/ref and loses one on
+                # unref/release; a cached block freed by eviction has no
+                # holder to debit.
+                if op == "alloc" or op == "ref":
+                    self._tenant_add(owner, source.block_bytes)
+                elif op == "unref" or (op == "release" and extra != "cached"):
+                    self._tenant_add(owner, -source.block_bytes)
+                source = tracked.name
+            else:
+                source = self._slot_name(source)
+            sample = (
+                self.configured_bytes,
+                self.kv_live_bytes,
+                self.kv_parked_bytes,
+                self.kv_reserved_bytes,
+                self.shared_bytes,
+                self.stranded_bytes,
+            )
+            self._stranded = sample[-1]
         self.recorded += 1
-        self._events.append((at, kind, op, source, amount, owner, extra))
-
-    # ------------------------------------------------------------------
-    # hook surface: regions
-    # ------------------------------------------------------------------
-    def note_region(self, op: str, slot: int, old_bytes: int, new_bytes: int) -> None:
-        """TZASC slot reprogrammed (configure / resize / disable)."""
-        now = self.sim.now
-        self._advance(now)
-        if op == "disable":
-            self._slot_bytes.pop(slot, None)
-        else:
-            self._slot_bytes[slot] = new_bytes
-        self.configured_bytes = sum(self._slot_bytes.values())
-        source = self._slot_names.get(slot, "slot%d" % slot)
-        self._push(now, "region", op, source, new_bytes, "", old_bytes)
-
-    def note_region_named(self, name: str, slot: int, op: str, protected: int) -> None:
-        """A :class:`~repro.tee.secure_memory.SecureRegion` changed its
-        protected extent — name attribution on top of the raw slot
-        events (and the slot-name mapping for late-created regions)."""
-        self._slot_names[slot] = name
-        self._push(self.sim.now, "region", op, name, protected, "", slot)
-
-    # ------------------------------------------------------------------
-    # hook surface: KV block pool
-    # ------------------------------------------------------------------
-    def note_reserve(self, pool, blocks: int, owner: str) -> None:
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        s.reserved += blocks
-        self._push(now, "kv", "reserve", s.name, blocks, owner, ())
-
-    def note_cancel(self, pool, blocks: int, owner: str) -> None:
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        s.reserved -= blocks  # strict mirror: the pool raised on underflow
-        self._push(now, "kv", "cancel", s.name, blocks, owner, ())
-
-    def note_alloc(self, pool, block: int, owner: str, from_reservation: bool) -> None:
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        s.active += 1
-        s.refs += 1
-        s.allocs += 1
-        if from_reservation:
-            s.reserved -= 1
-        self._tenant_add(owner, s.block_bytes)
-        self._push(now, "kv", "alloc", s.name, block, owner, 1 if from_reservation else 0)
-
-    def note_release(self, pool, block: int, owner: str, category: str) -> None:
-        """The block actually freed; ``category`` is the accounting
-        bucket it left (active / parked / cached)."""
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        s.releases += 1
-        if category == "parked":
-            s.parked -= 1
-        elif category == "cached":
-            s.cached -= 1
-        else:
-            s.active -= 1
-        if category != "cached":
-            # The freeing holder carried the last reference; cached
-            # blocks freed by eviction have no holder to debit.
-            s.refs -= 1
-            self._tenant_add(owner, -s.block_bytes)
-        self._push(now, "kv", "release", s.name, block, owner, category)
-
-    def note_ref(self, pool, block: int, owner: str, from_category: str) -> None:
-        """A sharing hit: one more live reference on a held block."""
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        s.refs += 1
-        s.refs_taken += 1
-        if from_category == "parked":
-            s.parked -= 1
-            s.active += 1
-        elif from_category == "cached":
-            s.cached -= 1
-            s.active += 1
-        self._tenant_add(owner, s.block_bytes)
-        self._push(now, "kv", "ref", s.name, block, owner, from_category)
-
-    def note_unref(
-        self, pool, block: int, owner: str, from_category: str, to_category: str
-    ) -> None:
-        """A reference dropped without freeing the block (other holders
-        or cached residency keep it)."""
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        s.refs -= 1
-        if from_category != to_category:
-            if from_category == "active":
-                s.active -= 1
-            elif from_category == "parked":
-                s.parked -= 1
-            if to_category == "parked":
-                s.parked += 1
-            elif to_category == "cached":
-                s.cached += 1
-        self._tenant_add(owner, -s.block_bytes)
-        self._push(
-            now, "kv", "unref", s.name, block, owner, (from_category, to_category)
-        )
-
-    def note_cow(self, pool, src: int, dst: int, owner: str, tokens: int) -> None:
-        """Copy-on-write divergence (dst's alloc was noted separately)."""
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        s.cows += 1
-        self._push(now, "kv", "cow", s.name, tokens, owner, (src, dst))
-
-    def note_cache(self, pool, block: int, owner: str) -> None:
-        """The prefix tree published residency on a (held) block."""
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        s.caches += 1
-        self._push(now, "kv", "cache", s.name, 1, owner, block)
-
-    def note_uncache(self, pool, block: int, owner: str) -> None:
-        """Residency dropped (category moves arrive as release/unref)."""
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        s.uncaches += 1
-        self._push(now, "kv", "uncache", s.name, 1, owner, block)
-
-    def note_park(self, pool, block_ids: tuple, tokens: int, owner: str, moved: int) -> None:
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        # ``moved`` counts blocks whose accounting category actually
-        # shifted — under sharing a block stays active while any other
-        # live sequence still references it.
-        s.active -= moved
-        s.parked += moved
-        s.parks += 1
-        self._push(now, "kv", "park", s.name, moved, owner, block_ids)
-
-    def note_restore(self, pool, block_ids: tuple, owner: str, moved: int) -> None:
-        now = self.sim.now
-        self._advance(now)
-        s = self._pools[id(pool)]
-        s.parked -= moved
-        s.active += moved
-        s.restores += 1
-        self._push(now, "kv", "restore", s.name, moved, owner, block_ids)
+        self._events.append((now, kind, op, source, amount, owner, extra, sample))
 
     # ------------------------------------------------------------------
     # telemetry derivation (pre-scrape hook)
@@ -495,12 +413,13 @@ class MemoryTimeline:
         g["shared"].set(float(self.shared_bytes))
         g["stranded"].set(float(self.stranded_bytes))
         g["stranded_ratio"].set(self.stranded_ratio)
-        for s in self._pools.values():
-            used = s.active + s.parked
+        for t in self._pools.values():
+            pool = t.pool
             g["occupancy"].set(
-                used / s.total_blocks if s.total_blocks else 0.0, pool=s.name
+                (pool.active_blocks + pool.parked_blocks) / pool.total_blocks,
+                pool=t.name,
             )
-            g["high_water"].set(float(s.pool.backing_blocks), pool=s.name)
+            g["high_water"].set(float(pool.backing_blocks), pool=t.name)
         g["stranded_bs"]._values[()] = self.stranded_byte_seconds
         tenant_values = g["tenant_bs"]._values
         for tenant, cell in self._tenants.items():
@@ -523,43 +442,36 @@ class MemoryTimeline:
                 "owner": owner,
                 "extra": list(extra) if isinstance(extra, tuple) else extra,
             }
-            for at, kind, op, source, amount, owner, extra in self._events
+            for at, kind, op, source, amount, owner, extra, _sample in self._events
         ]
         pools = {}
-        for s in self._pools.values():
-            used = s.active + s.parked + s.cached
-            pools[s.name] = {
-                "total_blocks": s.total_blocks,
-                "block_bytes": s.block_bytes,
-                "fixed_bytes": s.fixed_bytes,
-                "active_blocks": s.active,
-                "parked_blocks": s.parked,
-                "cached_blocks": s.cached,
-                "refs": s.refs,
-                "shared_saved_blocks": max(0, s.refs - s.active - s.parked),
-                "reserved_blocks": s.reserved,
-                "free_blocks": s.total_blocks - used,
-                "high_water_blocks": s.pool.backing_blocks,
-                "occupancy": used / s.total_blocks if s.total_blocks else 0.0,
-                "allocs": s.allocs,
-                "releases": s.releases,
-                "parks": s.parks,
-                "restores": s.restores,
-                "refs_taken": s.refs_taken,
-                "cows": s.cows,
-                "caches": s.caches,
-                "uncaches": s.uncaches,
+        for t in self._pools.values():
+            pool = t.pool
+            entry = {
+                "total_blocks": pool.total_blocks,
+                "block_bytes": pool.block_bytes,
+                "fixed_bytes": t.fixed_bytes,
+                "active_blocks": pool.active_blocks,
+                "parked_blocks": pool.parked_blocks,
+                "cached_blocks": pool.cached_blocks,
+                "refs": pool.total_refs,
+                "shared_saved_blocks": pool.shared_saved_blocks,
+                "reserved_blocks": pool.reserved,
+                "free_blocks": pool.free_blocks,
+                "high_water_blocks": pool.backing_blocks,
+                "occupancy": pool.used_blocks / pool.total_blocks,
             }
-        regions = {
-            self._slot_names.get(slot, "slot%d" % slot): size
-            for slot, size in sorted(self._slot_bytes.items())
-        }
+            for key, op in _OP_COUNTS:
+                entry[key] = t.ops[op]
+            pools[t.name] = entry
         return {
             "schema": self.SCHEMA,
             "events": events,
             "recorded": self.recorded,
             "dropped": self.dropped,
-            "regions": regions,
+            "regions": {
+                self._slot_name(slot): size for slot, size in self._slot_sizes().items()
+            },
             "pools": pools,
             "totals": {
                 "configured_bytes": self.configured_bytes,
@@ -579,9 +491,10 @@ class MemoryTimeline:
         """A Chrome trace with a ``memory`` counter lane ("C" events):
         load in chrome://tracing or Perfetto alongside the span trace.
 
-        Replayed from the event ring; if the ring overflowed
-        (``dropped > 0``) the replayed baseline starts mid-history, so
-        absolute values are exact only from the oldest retained event.
+        One sample per retained event except the named protect/shrink
+        ones, each the values right after that event, so the lane is
+        exact even when the ring dropped older events or the timeline
+        was attached mid-run.
         """
         events: List[dict] = [
             {
@@ -593,90 +506,17 @@ class MemoryTimeline:
                 "name": "thread_sort_index", "args": {"sort_index": _MEM_TID},
             },
         ]
-        param_names = {
-            self._slot_names[slot]
-            for slot in self._param_slots
-            if slot in self._slot_names
-        }
-        stats_by_name = {s.name: s for s in self._pools.values()}
-        region_bytes: Dict[str, int] = {}
-        # name -> [active, parked, reserved, cached, refs]
-        pool_state: Dict[str, List[int]] = {}
-        category_index = {"active": 0, "parked": 1, "cached": 3}
-
-        def counters() -> dict:
-            configured = sum(region_bytes.values())
-            kv_live = kv_parked = kv_reserved = shared = live = 0
-            for name, (active, parked, reserved, cached, refs) in pool_state.items():
-                s = stats_by_name[name]
-                kv_live += active * s.block_bytes
-                kv_parked += parked * s.block_bytes
-                kv_reserved += reserved * s.block_bytes
-                shared += max(0, refs - active - parked) * s.block_bytes
-                live += (active + parked + cached) * s.block_bytes + s.fixed_bytes
-            for name in param_names:
-                live += region_bytes.get(name, 0)
-            return {
-                "configured": configured,
-                "kv_live": kv_live,
-                "kv_parked": kv_parked,
-                "kv_reserved": kv_reserved,
-                "shared": shared,
-                "stranded": max(0, configured - live),
-            }
-
-        for at, kind, op, source, amount, owner, extra in self._events:
-            if kind == "region":
-                if op == "disable":
-                    region_bytes.pop(source, None)
-                elif op in ("configure", "resize"):
-                    region_bytes[source] = amount
-                else:
-                    continue  # named protect/shrink shadow the slot events
-            else:
-                state = pool_state.setdefault(source, [0, 0, 0, 0, 0])
-                if op == "reserve":
-                    state[2] += amount
-                elif op == "cancel":
-                    state[2] = max(0, state[2] - amount)
-                elif op == "alloc":
-                    state[0] += 1
-                    state[4] += 1
-                    if extra:
-                        state[2] = max(0, state[2] - 1)
-                elif op == "release":
-                    state[category_index.get(extra, 0)] -= 1
-                    if extra != "cached":
-                        state[4] -= 1
-                elif op == "ref":
-                    state[4] += 1
-                    came_from = category_index.get(extra, 0)
-                    if came_from != 0:
-                        state[came_from] -= 1
-                        state[0] += 1
-                elif op == "unref":
-                    state[4] -= 1
-                    came_from = category_index.get(extra[0], 0)
-                    went_to = category_index.get(extra[1], 0)
-                    if came_from != went_to:
-                        state[came_from] -= 1
-                        state[went_to] += 1
-                elif op == "park":
-                    state[0] -= amount
-                    state[1] += amount
-                elif op == "restore":
-                    state[1] -= amount
-                    state[0] += amount
-                # cow/cache/uncache: informational; category moves for
-                # those transitions arrive as alloc/release/ref/unref.
-            events.append(
-                {
-                    "ph": "C", "pid": 1, "tid": _MEM_TID,
-                    "name": "secure-memory",
-                    "ts": at * 1e6,
-                    "args": counters(),
-                }
-            )
+        for event in self._events:
+            sample = event[7]
+            if sample is not None:
+                events.append(
+                    {
+                        "ph": "C", "pid": 1, "tid": _MEM_TID,
+                        "name": "secure-memory",
+                        "ts": event[0] * 1e6,
+                        "args": dict(zip(_COUNTERS, sample)),
+                    }
+                )
         return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
 
 

@@ -446,7 +446,8 @@ class TimeSeriesStore:
 
 
 class TelemetryCollector:
-    """Scrapes a metrics registry into the store, on the virtual clock."""
+    """Scrapes a :class:`~repro.obs.registry.MetricsRegistry` (not a
+    child view) into the store, on the virtual clock."""
 
     def __init__(
         self,
@@ -495,22 +496,10 @@ class TelemetryCollector:
         for hook in self.pre_scrape:
             hook()
         now = self.sim.now
-        registry_map = getattr(self.registry, "_instruments", None)
-        if registry_map is None:
-            # A registry view (e.g. a child) without direct instrument
-            # access: take the generic, uncached path.
-            return self._finish(
-                self._scrape_generic(now, self.registry.instruments()),
-                host_start,
-            )
+        registry_map = self.registry._instruments
         if self._values_list is None or len(registry_map) != self._inst_count:
-            instruments = self.registry.instruments()
-            if any(not hasattr(inst, "_values") for inst in instruments):
-                return self._finish(
-                    self._scrape_generic(now, instruments), host_start
-                )
             self._inst_count = len(registry_map)
-            self._values_list = [inst._values for inst in instruments]
+            self._values_list = [inst._values for inst in self.registry.instruments()]
             self._plan = None
         live = 0
         for values in self._values_list:
@@ -538,9 +527,7 @@ class TelemetryCollector:
             appended[0] = n
             if n % factor == 0:
                 ring._cascade_scalar(now, value)
-        return self._finish(len(self._plan), host_start)
-
-    def _finish(self, appended: int, host_start: float) -> int:
+        appended = len(self._plan)
         self.scrapes += 1
         self.samples_total += appended
         self.host_seconds += time.perf_counter() - host_start
@@ -570,23 +557,6 @@ class TelemetryCollector:
                     )
         self._plan = plan
         self._plan_series = live
-
-    def _scrape_generic(self, now: float, instruments) -> int:
-        appended = 0
-        for inst in instruments:
-            if isinstance(inst, Histogram):
-                for key, series in inst.samples():
-                    self.store.append_histogram(
-                        inst.name, key, now,
-                        series["count"], series["sum"],
-                        tuple(series["buckets"]), inst.buckets,
-                    )
-                    appended += 1
-            else:
-                for key, value in inst.samples():
-                    self.store.append(inst.name, inst.kind, key, now, value)
-                    appended += 1
-        return appended
 
     def start(self, until: float) -> None:
         """Spawn the scrape loop (bounded, so ``sim.run()`` still drains)."""

@@ -19,7 +19,6 @@ import itertools
 from collections import deque
 from typing import Deque, Dict, Optional, Union
 
-from ..errors import DeviceError
 from ..hw.common import World
 from ..hw.npu import NPU, NPUJob
 from ..hw.platform import Board

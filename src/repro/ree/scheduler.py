@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Generator, List, Optional
 
 from ..errors import ConfigurationError
 from ..sim import Event, Simulator

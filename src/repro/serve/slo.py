@@ -200,7 +200,6 @@ class SLOAccountant:
         #: per-model busy-time accumulation for utilization.
         self._busy_since: Dict[str, Optional[float]] = {}
         self._busy_total: Dict[str, float] = {}
-        self.utilization_gauge: Dict[str, GaugeSeries] = {}
         self.started_at = sim.now
 
     # ------------------------------------------------------------------
@@ -272,13 +271,10 @@ class SLOAccountant:
             return
         self._busy_total[model_id] = self._busy_total.get(model_id, 0.0) + (self.sim.now - since)
         self._busy_since[model_id] = None
-        gauge = self.utilization_gauge.setdefault(
-            model_id, GaugeSeries("utilization:%s" % model_id)
-        )
-        value = self.utilization(model_id)
-        gauge.sample(self.sim.now, value)
         if self.tracer.enabled:
-            self.tracer.counter("utilization:%s" % model_id, round(value, 6))
+            self.tracer.counter(
+                "utilization:%s" % model_id, round(self.utilization(model_id), 6)
+            )
 
     def observe(self, request: ServeRequest) -> None:
         """Fold one completed request into its class's metrics."""

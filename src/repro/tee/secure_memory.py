@@ -21,10 +21,8 @@ All sizes are in granule multiples (the CMA's allocation unit).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import ConfigurationError, IagoViolation, MemoryError_
-from ..hw.common import AddrRange, World
+from ..hw.common import AddrRange
 from .ta import TrustedApplication
 
 __all__ = ["SecureRegion"]
@@ -113,8 +111,8 @@ class SecureRegion:
         self.protected += n_bytes
         self.tee_os.map_into_ta(self.ta, new_range)
         if self.timeline is not None:
-            self.timeline.note_region_named(
-                self.name, self.tzasc_slot, "protect", self.protected
+            self.timeline.note(
+                "region", "protect", self.name, self.protected, "", self.tzasc_slot
             )
         return new_range
 
@@ -138,8 +136,8 @@ class SecureRegion:
         self.protected -= n_bytes
         self.allocated -= n_bytes
         if self.timeline is not None:
-            self.timeline.note_region_named(
-                self.name, self.tzasc_slot, "shrink", self.protected
+            self.timeline.note(
+                "region", "shrink", self.name, self.protected, "", self.tzasc_slot
             )
         yield from self.tee_os.tz_call("ree.cma_release", self.cma_name, n_bytes)
 

@@ -10,6 +10,8 @@ with no timeline attached, and fingerprint parity when one is.
 import json
 import tracemalloc
 
+import pytest
+
 from repro.core import BatchConfig, TZLLM
 from repro.llm import TINYLLAMA
 from repro.obs import MemoryTimeline, instrument, memory_pressure_rules
@@ -158,10 +160,54 @@ def test_chrome_trace_memory_counter_lane():
     keys = {"configured", "kv_live", "kv_parked", "kv_reserved", "shared",
             "stranded"}
     assert all(set(e["args"]) == keys for e in counters)
-    # The replayed lane agrees with the live aggregates at the end.
+    # The lane agrees with the live aggregates at the end.
     final = counters[-1]["args"]
     assert final["configured"] == timeline.configured_bytes
     assert final["kv_live"] == timeline.kv_live_bytes
+
+
+def _attach_mid_run(system, gateway):
+    """Submit a burst, run until the first dispatch holds KV blocks, then
+    attach: the blocks allocated so far are released with no alloc event
+    in the ring."""
+    requests = [gateway.submit(32, 24, priority="batch", tenant=t) for t in "abac"]
+    pool = system.ta.batch_engine.pool
+    while pool.active_blocks == 0:
+        assert system.sim.now < 60.0, "no dispatch allocated a block"
+        system.sim.run(until=system.sim.now + 0.01)
+    return MemoryTimeline(system.sim).attach(system), requests
+
+
+def _attach_small_ring(system, gateway):
+    """A 16-event ring: the retained history starts mid-run."""
+    timeline = MemoryTimeline(system.sim, capacity=16).attach(system)
+    requests = [gateway.submit(32, 24, priority="batch", tenant=t) for t in "abac"]
+    return timeline, requests
+
+
+@pytest.mark.parametrize(
+    "start", [_attach_mid_run, _attach_small_ring], ids=["mid-run-attach", "ring-overflow"]
+)
+def test_counter_lane_is_exact_without_the_full_history(start):
+    system, obs, gateway = make_stack()
+    timeline, requests = start(system, gateway)
+    for request in requests:
+        system.sim.run_until(request.completion)
+    if start is _attach_small_ring:
+        assert timeline.dropped > 0
+    doc = json.loads(timeline.to_chrome_trace())
+    samples = [e["args"] for e in doc["traceEvents"] if e["ph"] == "C"]
+    assert samples
+    assert all(value >= 0 for sample in samples for value in sample.values())
+    totals = timeline.to_dict()["totals"]
+    assert samples[-1] == {
+        "configured": totals["configured_bytes"],
+        "kv_live": totals["kv_live_bytes"],
+        "kv_parked": totals["kv_parked_bytes"],
+        "kv_reserved": totals["kv_reserved_bytes"],
+        "shared": totals["shared_bytes"],
+        "stranded": totals["stranded_bytes"],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +285,7 @@ def test_unattached_stack_allocates_nothing_in_memory_module():
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    memory_py = MemoryTimeline.note_alloc.__code__.co_filename
+    memory_py = MemoryTimeline.note.__code__.co_filename
     blocks = sum(
         stat.count
         for stat in snapshot.filter_traces(
