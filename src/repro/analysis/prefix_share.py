@@ -1,29 +1,27 @@
 """Offline prefix-sharing opportunity analyzer (ROADMAP: KV reuse).
 
-The ROADMAP's top item asks whether shared-prefix KV reuse is worth
-building *inside the TEE* — cross-request reuse of the system-prompt KV
-with the per-tenant isolation argument that entails.  Before anyone
-writes that mechanism, this analyzer measures the opportunity: it
-replays a multi-tenant fleet trace (:func:`~repro.workloads.fleet
-.generate_fleet_trace`) through an idealized block-granular KV cache
-and reports what a sharing-aware TA *could* have skipped.
+The analyzer measures what shared-prefix KV reuse inside the TEE saves
+on a multi-tenant fleet trace (:func:`~repro.workloads.fleet
+.generate_fleet_trace`).  It replays the trace one request at a time
+through the serving path's own bookkeeping: each model gets a
+:class:`~repro.llm.kv_cache.KVBlockPool` and :class:`~repro.llm
+.kv_cache.PrefixTree`, as each TA owns its pool, and each request runs
+``init_prompt_shared``, ``publish`` and ``release`` on a fresh
+:class:`~repro.llm.kv_cache.PagedKVCache`.  Block keys, the whole-block
+hit rules and LRU eviction are therefore the TA's, defined once in
+:mod:`repro.llm.kv_cache`:
 
-The replay hashes each request's prompt into block keys the way a
-paged KV cache would:
+* the shared prefix hits by *content*, so any request carrying the same
+  system prompt reuses blocks a previous request already prefilled;
+* conversation context hits by *stream position*, so only a later turn
+  of the same session reuses it, and only inside the replayed context.
 
-* the shared prefix hashes by *content* — ``(prefix_id, block_index)``
-  — so any request carrying the same system prompt hits blocks a
-  previous request (any session, same tenant) already prefilled;
-* conversation context and new tokens hash by *stream* —
-  ``(session_id, block_index)`` — they are session-private, so only a
-  later turn of the same session can reuse them.
-
-A bounded LRU over ``cache_blocks`` blocks models the secure region's
-capacity; an unbounded pass (``cache_blocks=None``) gives the
-no-capacity-limit upper bound.  Savings are priced with
-:func:`~repro.llm.ops.prefill_seconds`, the analytic prefill model the
-fleet surrogate uses, so "saved prefill seconds" and the projected TTFT
-deltas are directly comparable to simulated fleet timings.
+``cache_blocks`` bounds each model's pool; ``cache_blocks=None`` sizes
+each pool so that nothing is evicted (the no-capacity-limit upper
+bound).  Savings are priced with :func:`~repro.llm.ops.prefill_seconds`,
+the analytic prefill model the fleet surrogate uses, so "saved prefill
+seconds" and the projected TTFT deltas are directly comparable to
+simulated fleet timings.
 
 Deliberately *not* modeled: cross-tenant sharing.  Prefix ids are
 minted per tenant upstream, so a hit never crosses a tenant boundary —
@@ -33,10 +31,11 @@ protection domains).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from ..errors import ConfigurationError
+from ..llm.kv_cache import KVBlockPool, PagedKVCache, PrefixTree, PromptSpec
 from ..llm.ops import prefill_seconds
 from .metrics import mean, percentile
 from .tables import render_table
@@ -176,19 +175,34 @@ def analyze_prefix_sharing(
     cache_blocks: Optional[int] = 8192,
     use_npu: bool = True,
 ) -> PrefixShareReport:
-    """Replay ``trace`` through an idealized shared block cache.
+    """Replay ``trace`` through one block pool and prefix tree per model.
 
     ``trace`` is a sequence of :class:`~repro.workloads.fleet
     .FleetRequest` (or anything with the same fields); ``models`` a
     :class:`~repro.llm.models.ModelSpec` list covering the trace's
     ``model_id``\\ s; ``platform`` the :class:`~repro.config
     .PlatformSpec` used to price saved prefill work.  ``cache_blocks``
-    bounds the cache (LRU eviction); ``None`` removes the bound.
+    bounds each model's pool (LRU eviction of unreferenced blocks);
+    ``None`` sizes each pool so that nothing is ever evicted.
     """
     by_model = {m.model_id: m for m in models}
-    # key -> True, ordered by recency.  Keys are tuples, never strings,
-    # so prefix- and session-stream blocks cannot collide.
-    cache: "OrderedDict[Tuple, bool]" = OrderedDict()
+    replay = [(request, PromptSpec.from_fleet_request(request)) for request in trace]
+    demand: Dict[str, int] = {}
+    for request, spec in replay:
+        blocks = spec.worst_case_blocks(block_tokens)
+        if cache_blocks is not None and blocks > cache_blocks:
+            raise ConfigurationError(
+                "a prompt of session %r needs %d KV blocks but cache_blocks is %d"
+                % (request.session_id, blocks, cache_blocks)
+            )
+        demand[request.model_id] = demand.get(request.model_id, 0) + blocks
+    trees = {
+        model_id: PrefixTree(KVBlockPool(
+            by_model[model_id], block_tokens,
+            max(1, blocks) if cache_blocks is None else cache_blocks,
+        ))
+        for model_id, blocks in demand.items()
+    }
     report = PrefixShareReport(
         block_tokens=block_tokens,
         cache_blocks=cache_blocks,
@@ -202,71 +216,31 @@ def analyze_prefix_sharing(
         evictions=0,
     )
 
-    def touch(key) -> bool:
-        """Look up one block; insert on miss; LRU-evict past the bound."""
-        if key in cache:
-            cache.move_to_end(key)
-            return True
-        cache[key] = True
-        if cache_blocks is not None and len(cache) > cache_blocks:
-            cache.popitem(last=False)
-            report.evictions += 1
-        return False
+    for request, spec in replay:
+        tree = trees[request.model_id]
+        kv = PagedKVCache(tree.pool)
+        share = kv.init_prompt_shared(spec, tree)
+        kv.publish(tree)
+        kv.release()
 
-    for request in trace:
-        model = by_model[request.model_id]
+        model = tree.pool.model
         prompt = request.prompt_tokens
+        full = prefill_seconds(platform, model, prompt, use_npu)
+        residual = prefill_seconds(platform, model, prompt - share.hit_tokens, use_npu)
+        saved = max(0.0, full - residual)
+        report.ttft_deltas.append(saved)
         row = report.tenants.get(request.tenant)
         if row is None:
             row = report.tenants[request.tenant] = TenantShareRow(request.tenant)
-
-        # Shared prefix: content-addressed, whole blocks only (a partial
-        # tail block cannot be reused — its KV depends on what follows).
-        prefix_hits = 0
-        prefix_blocks = request.prefix_tokens // block_tokens
-        if request.prefix_id:
-            for i in range(prefix_blocks):
-                if touch(("p", request.model_id, request.prefix_id, i)):
-                    prefix_hits += 1
-
-        # Session stream: the replayed context (and this turn's tokens,
-        # once prefilled) keyed by position within the session's stream.
-        # Turn N+1 replays turn N's prompt+reply, so those stream blocks
-        # come back as hits — exactly the KV a session-sticky router
-        # keeps resident.
-        session_hits = 0
-        stream_tokens = request.context_tokens + request.new_tokens
-        stream_blocks = stream_tokens // block_tokens
-        covered = 0
-        for i in range(stream_blocks):
-            if touch(("s", request.session_id, i)):
-                # Context replays from the stream head; only hits inside
-                # the replayed span save prefill work this turn.
-                if covered < request.context_tokens:
-                    session_hits += 1
-                covered += block_tokens
-            else:
-                covered += block_tokens
-
-        hit_tokens = min(prompt, (prefix_hits + session_hits) * block_tokens)
-        full = prefill_seconds(platform, model, prompt, use_npu)
-        residual = prefill_seconds(platform, model, prompt - hit_tokens, use_npu)
-        saved = max(0.0, full - residual)
-
-        report.requests += 1
-        report.prompt_tokens += prompt
-        report.hit_tokens += hit_tokens
-        report.prefix_hit_tokens += prefix_hits * block_tokens
-        report.session_hit_tokens += session_hits * block_tokens
+        for acc in (report, row):
+            acc.requests += 1
+            acc.prompt_tokens += prompt
+            acc.hit_tokens += share.hit_tokens
+            acc.prefix_hit_tokens += share.prefix_hit_tokens
+            acc.session_hit_tokens += share.session_hit_tokens
         report.baseline_prefill_seconds += full
         report.saved_prefill_seconds += saved
-        report.ttft_deltas.append(saved)
-
-        row.requests += 1
-        row.prompt_tokens += prompt
-        row.hit_tokens += hit_tokens
-        row.prefix_hit_tokens += prefix_hits * block_tokens
-        row.session_hit_tokens += session_hits * block_tokens
         row.saved_seconds += saved
 
+    report.evictions = sum(tree.evictions for tree in trees.values())
     return report

@@ -10,7 +10,6 @@ the end-to-end evaluated systems (:mod:`repro.core.system`).
 
 from .backends import REERestoreBackend, RestoreBackend, TEERestoreBackend
 from .batch import BatchConfig, BatchedSequence, DecodeBatchEngine, ParkedSequence, SharedNPUBackend
-from .client import ChatReply, ClientApp, ClientSession
 from .caching import (
     CachePolicy,
     FractionCachePolicy,
@@ -27,9 +26,6 @@ __all__ = [
     "BatchConfig",
     "BatchedSequence",
     "CachePolicy",
-    "ChatReply",
-    "ClientApp",
-    "ClientSession",
     "DecodeBatchEngine",
     "FractionCachePolicy",
     "InferenceRecord",

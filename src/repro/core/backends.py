@@ -16,7 +16,7 @@ compete with computation exactly as in Fig. 5.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..config import PlatformSpec
 from ..crypto import decrypt, verify

@@ -15,7 +15,7 @@ keep:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..errors import ConfigurationError
 

@@ -218,7 +218,6 @@ class LLMTA(TrustedApplication):
         self.tokenizer = Tokenizer(model.model_id, model.vocab)
         #: the aggregate big-cluster CPU row for decode-phase execution.
         self.cpu = Resource(stack.sim, capacity=1, priority=True, name="ta-cpu")
-        self._initialized = False
         self._checkpoint_saved = False
         #: continuous-batching mode (repro.core.batch); the engine itself
         #: is wired by setup() once the data region exists.
@@ -892,7 +891,6 @@ class LLMTA(TrustedApplication):
                         yield self.sim.timeout(self.recovery.backoff(attempt))
         else:
             yield from cold_init(self.sim, timing)
-        self._initialized = True
 
     # ------------------------------------------------------------------
     # memory-pressure interface (the REE may ask for memory back, §4.1)

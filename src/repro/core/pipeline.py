@@ -31,7 +31,7 @@ path totals of §7.2.1 whose maximum lower-bounds any schedule (Fig. 12).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..config import MiB, PlatformSpec

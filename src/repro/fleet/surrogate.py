@@ -30,7 +30,7 @@ still real.  Determinism: the surrogate holds no RNG at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from ..config import GiB, PlatformSpec, RK3588

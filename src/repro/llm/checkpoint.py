@@ -13,7 +13,6 @@ same delegated-I/O trust posture as parameter loading.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from ..config import TimingSpec
 from ..crypto import checksum, decrypt, encrypt, verify

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..crypto import checksum, encrypt, wrap_model_key
 from ..crypto.cipher import NONCE_SIZE

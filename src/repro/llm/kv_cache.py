@@ -18,9 +18,9 @@ Three layouts share this module:
   per-block refcounts and copy-on-write.  Whole blocks of a prompt that
   hash to content a previous request already prefilled (the tenant's
   system prompt, or an earlier turn of the same session) are *referenced*
-  instead of recomputed; only the cache-miss suffix pays prefill.  Block
-  keys mirror :mod:`repro.analysis.prefix_share` exactly, so the online
-  hit rate is directly comparable to the offline analyzer's projection.
+  instead of recomputed; only the cache-miss suffix pays prefill.  The
+  offline analyzer (:mod:`repro.analysis.prefix_share`) replays traces
+  through this same tree, so this module alone defines block-keyed reuse.
 
 Accounting is strict by design: reservation underflow, double release,
 and unheld-block operations raise :class:`~repro.errors
@@ -115,8 +115,7 @@ class PromptSpec:
     the same identity fields the fleet trace does (:class:`~repro
     .workloads.fleet.FleetRequest`): a content-addressed shared prefix
     (the tenant's system prompt) and a session-private stream (replayed
-    conversation context plus this turn's new tokens).  The layout
-    matches :mod:`repro.analysis.prefix_share` block hashing exactly.
+    conversation context plus this turn's new tokens).
     """
 
     prefix_id: str = ""
@@ -168,8 +167,7 @@ class ShareResult:
     prefix_hit_tokens: int = 0
     session_hit_tokens: int = 0
     #: tokens recovered by copy-on-write from partial tail blocks — kept
-    #: separate from ``hit_tokens`` so the online rate stays directly
-    #: comparable to the analyzer (which models whole-block hits only).
+    #: separate from ``hit_tokens``, which counts whole-block hits only.
     cow_tokens: int = 0
     #: tokens that must actually be prefilled (the cache-miss suffix).
     miss_tokens: int = 0
@@ -471,8 +469,7 @@ class KVBlockPool:
 class PrefixTree:
     """Content-addressed residency over a :class:`KVBlockPool`.
 
-    Keys mirror :mod:`repro.analysis.prefix_share` exactly: shared
-    prefixes hash by content — ``("p", model_id, prefix_id, i)`` — so
+    Shared prefixes hash by content — ``("p", model_id, prefix_id, i)`` — so
     any request carrying the same system prompt hits blocks a previous
     request already prefilled; conversation streams hash by position —
     ``("s", session_id, i)`` — so only a later turn of the same session
@@ -568,19 +565,23 @@ class PrefixTree:
         self.pool.uncache_block(block, owner=owner)
 
     def evict_for(self, blocks: int) -> int:
-        """Free at least ``blocks`` unreferenced cached blocks (LRU
-        first); referenced entries are skipped — their content is live
-        state, reclaimed naturally when the holders release."""
-        freed = 0
-        for key in list(self._entries):
-            if freed >= blocks:
+        """Free up to ``blocks`` unreferenced cached blocks (LRU first);
+        referenced entries are skipped — their content is live state,
+        reclaimed naturally when the holders release.  Victims are
+        collected first and dropped after the walk, so the walk never
+        mutates the entries it iterates and stops at the last victim
+        instead of visiting every entry."""
+        refcount = self.pool.refcount
+        victims = []
+        for key, entry in self._entries.items():
+            if len(victims) >= blocks:
                 break
-            block = self._entries[key][0]
-            if self.pool.refcount(block) == 0:
-                self._drop_entry(key, owner="tree-evict")
-                self.evictions += 1
-                freed += 1
-        return freed
+            if refcount(entry[0]) == 0:
+                victims.append(key)
+        for key in victims:
+            self._drop_entry(key, owner="tree-evict")
+        self.evictions += len(victims)
+        return len(victims)
 
     def flush(self) -> int:
         """Drop every residency (refless blocks free immediately;

@@ -13,8 +13,6 @@ the modest decode gains).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..config import PlatformSpec
 from ..errors import ConfigurationError
 

@@ -18,7 +18,7 @@ model can see when migration stole memory bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..config import MemorySpec
 from ..errors import (
@@ -26,7 +26,6 @@ from ..errors import (
     ContiguityError,
     MemoryError_,
     MigrationError,
-    OutOfMemory,
 )
 from ..hw.memory import PhysicalMemory
 from ..sim import Simulator

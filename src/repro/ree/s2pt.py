@@ -14,7 +14,7 @@ S2PT overhead is *continuous* while CMA migration overhead is *transient*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from ..config import S2PTSpec

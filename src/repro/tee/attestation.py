@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from ..crypto.keys import derive_key, wrap_model_key
 from ..errors import SecurityViolation

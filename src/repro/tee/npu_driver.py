@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import IagoViolation, ProtocolError, WatchdogTimeout

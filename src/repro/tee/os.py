@@ -19,7 +19,7 @@ Responsibilities:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ..crypto.keys import HardwareKeyStore, unwrap_model_key
 from ..errors import AccessDenied, ConfigurationError, SecurityViolation

@@ -16,10 +16,10 @@ hop on each shadow-thread start.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..errors import ProtocolError
-from ..sim import Event, Process, Resource, Simulator
+from ..sim import Process, Resource, Simulator
 
 __all__ = ["TEEMutex", "TEECondition", "ShadowThreadPool"]
 

@@ -9,7 +9,7 @@ co-driver's switching costs show up in both throughputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..config import PlatformSpec
 from ..errors import ConfigurationError

@@ -1,12 +1,11 @@
 """Shared-prefix KV reuse: the PrefixTree over a refcounted block pool.
 
-Covers the content-addressed key scheme (kept in lockstep with
-``analysis.prefix_share``), whole-block hit taking by reference,
-copy-on-write at the divergence point, adopt-in-place of exclusively
-cached tails, publish-on-success semantics, LRU eviction that skips
-referenced blocks, the admission probe, and the strict accounting
-satellites of the same PR (reservation underflow and ``init_prompt``
-re-entry raise instead of clamping).
+Covers the content-addressed key scheme, whole-block hit taking by
+reference, copy-on-write at the divergence point, adopt-in-place of
+exclusively cached tails, publish-on-success semantics, LRU eviction
+that skips referenced blocks, the admission probe, and strict
+accounting (reservation underflow and ``init_prompt`` re-entry raise
+instead of clamping).
 """
 
 import pytest
@@ -31,7 +30,7 @@ def shared_init(pool, tree, spec, owner):
 
 
 # ----------------------------------------------------------------------
-# key scheme (analyzer parity)
+# key scheme
 # ----------------------------------------------------------------------
 def test_keys_mirror_the_offline_analyzer():
     pool, tree = make()
@@ -227,6 +226,58 @@ def test_allocation_evicts_lru_cached_blocks_but_never_referenced_ones():
     with pytest.raises(OutOfMemory):
         kv3.init_prompt(2 * B)
     kv2.release()
+    pool.check_conservation()
+
+
+class _NoteLog:
+    """Timeline stand-in that records every pool note in order."""
+
+    def __init__(self):
+        self.notes = []
+
+    def note(self, kind, op, source, amount, owner, extra):
+        self.notes.append((op, amount, owner, extra))
+
+
+def copy_then_drop_evict(tree, blocks):
+    """``evict_for`` as it was written before the one-pass walk: copy
+    the key list, then drop refless entries LRU-first while walking it."""
+    freed = 0
+    for key in list(tree._entries):
+        if freed >= blocks:
+            break
+        block = tree._entries[key][0]
+        if tree.pool.refcount(block) == 0:
+            tree._drop_entry(key, owner="tree-evict")
+            tree.evictions += 1
+            freed += 1
+    return freed
+
+
+def resident_tree_with_held_entries():
+    """Ten resident session blocks, LRU first; entries 0, 1 and 5 stay
+    referenced by their allocating holder, the rest are refless."""
+    pool, tree = make(total_blocks=12)
+    for i in range(10):
+        block = pool.alloc_block(owner="a/r%d" % i)
+        tree.insert(tree.session_key("a/s1", i), block, B)
+        if i not in (0, 1, 5):
+            pool.release_block(block, owner="a/r%d" % i)
+    pool.timeline = _NoteLog()
+    return pool, tree
+
+
+@pytest.mark.parametrize("blocks", [1, 3, 4, 7, 20])
+def test_evict_for_frees_the_victims_of_the_copy_then_drop_loop(blocks):
+    reference_pool, reference = resident_tree_with_held_entries()
+    pool, tree = resident_tree_with_held_entries()
+    assert tree.evict_for(blocks) == copy_then_drop_evict(reference, blocks)
+    assert tree.evictions == reference.evictions == min(blocks, 7)
+    assert pool.timeline.notes == reference_pool.timeline.notes
+    assert list(tree._entries.items()) == list(reference._entries.items())
+    assert pool._free == reference_pool._free
+    # The referenced entries at the LRU end survive every eviction.
+    assert [key[2] for key in tree._entries][:2] == [0, 1]
     pool.check_conservation()
 
 

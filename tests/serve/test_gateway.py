@@ -100,6 +100,8 @@ def test_fifo_scheduling_preserves_arrival_order(system):
         < queued["batch"].dispatched_at
         < queued["interactive"].dispatched_at
     )
+    # Each waited behind the running request, and the wait is visible.
+    assert all(r.queue_wait > 0 for r in queued.values())
 
 
 # ----------------------------------------------------------------------
