@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 from ..errors import ConfigurationError
+from ..sim.resources import _percentile
 
 __all__ = [
     "LatencySummary",
@@ -66,18 +67,10 @@ def percentile(values: Sequence[float], p: float) -> float:
     """
     if not 0.0 <= p <= 100.0:
         raise ConfigurationError("percentile must be in [0, 100], got %r" % (p,))
-    ordered = sorted(values)
-    if not ordered:
+    values = list(values)
+    if not values:
         raise ConfigurationError("percentile of empty sequence")
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (p / 100.0) * (len(ordered) - 1)
-    low = int(math.floor(rank))
-    high = int(math.ceil(rank))
-    if low == high:
-        return ordered[low]
-    frac = rank - low
-    return ordered[low] * (1.0 - frac) + ordered[high] * frac
+    return _percentile(values, p / 100.0)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ the end-to-end evaluated systems (:mod:`repro.core.system`).
 """
 
 from .backends import REERestoreBackend, RestoreBackend, TEERestoreBackend
-from .batch import BatchConfig, BatchedSequence, DecodeBatchEngine, ParkedSequence, SharedNPUBackend
+from .batch import BatchConfig, BatchedSequence, DecodeBatchEngine, SharedNPUBackend
 from .caching import (
     CachePolicy,
     FractionCachePolicy,
@@ -31,7 +31,6 @@ __all__ = [
     "InferenceRecord",
     "LLMTA",
     "PAPER_PRESSURE",
-    "ParkedSequence",
     "PipelineConfig",
     "PipelineMetrics",
     "PreemptionGate",

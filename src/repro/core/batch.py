@@ -52,7 +52,6 @@ __all__ = [
     "BatchConfig",
     "BatchedSequence",
     "DecodeBatchEngine",
-    "ParkedSequence",
     "SharedNPUBackend",
 ]
 
@@ -125,15 +124,17 @@ class SharedNPUBackend(NPUBackend):
 
 @dataclass
 class BatchedSequence:
-    """One in-flight sequence's decode state inside the batch."""
+    """One sequence's decode state, from its first join to its last
+    retirement: an evicted sequence is parked as itself and rejoins as
+    itself."""
 
-    seq_id: int
     model_id: str
     kv: PagedKVCache
     prompt_tokens: int
     #: total new tokens this sequence must generate (across park/resume).
     target_tokens: int
-    done: object  # sim Event, succeeds when the sequence leaves the batch
+    #: sim Event, succeeds when the sequence leaves the batch (fresh per join).
+    done: object = None
     gate: Optional[object] = None  # PreemptionGate (callable) or None
     request_id: Optional[int] = None
     #: decode-step index, global across park/resume — it keys
@@ -151,40 +152,27 @@ class BatchedSequence:
     prefill_remaining: int = 0
     #: sim time the prompt became fully resident (TTFT anchor).
     prefill_done_at: Optional[float] = None
+    #: the block list a park checkpointed; resume validates against it.
+    checkpoint: Optional[BlockCheckpoint] = None
+    #: original-attempt timing, re-reported on the resumed record so the
+    #: gateway's TTFT reflects the *first* token, not the resume.
+    ttft: float = 0.0
+    first_token_at: float = 0.0
+    parked_at: float = 0.0
 
     @property
     def remaining(self) -> int:
         return self.target_tokens - len(self.token_ids)
 
     def result(self, stopped_early: bool = False) -> DecodeResult:
+        """A copy of the decode so far: a parked sequence keeps growing
+        these lists once it resumes."""
         return DecodeResult(
             token_ids=list(self.token_ids),
             step_times=list(self.step_times),
             attribution=[dict(a) for a in self.attribution],
             stopped_early=stopped_early,
         )
-
-
-@dataclass
-class ParkedSequence:
-    """A preempted sequence's checkpoint: blocks kept, prefill kept."""
-
-    request_id: int
-    kv: PagedKVCache
-    checkpoint: BlockCheckpoint
-    token_ids: List[int]
-    step_times: List[float]
-    attribution: List[dict]
-    step_index: int
-    prompt_tokens: int
-    target_tokens: int
-    #: original-attempt timing, re-reported on the resumed record so the
-    #: gateway's TTFT reflects the *first* token, not the resume.
-    ttft: float = 0.0
-    first_token_at: float = 0.0
-    parked_at: float = 0.0
-    #: unfinished in-batch prefill carried across the park (sharing path).
-    prefill_remaining: int = 0
 
 
 class DecodeBatchEngine:
@@ -225,9 +213,9 @@ class DecodeBatchEngine:
         self.npu_backend: Optional[SharedNPUBackend] = None
         self.waiting: Deque[BatchedSequence] = deque()
         self.active: List[BatchedSequence] = []
-        self.parked: Dict[int, ParkedSequence] = {}
+        #: evicted sequences keyed by request id, awaiting :meth:`rejoin`.
+        self.parked: Dict[int, BatchedSequence] = {}
         self._stepper = None
-        self._seq_ids = 0
         #: infer() attempts currently inside the TA (prefill or decode);
         #: the data region may only shrink when this reaches zero.
         self.inflight = 0
@@ -305,20 +293,23 @@ class DecodeBatchEngine:
         ``done`` event fires when it finishes, evicts, or fails.  A
         nonzero ``prefill_tokens`` enters the sequence still owing that
         many miss-suffix tokens of in-batch chunked prefill."""
-        self._seq_ids += 1
         seq = BatchedSequence(
-            seq_id=self._seq_ids,
             model_id=self.ta.model.model_id,
             kv=kv,
             prompt_tokens=prompt_tokens,
             target_tokens=target_tokens,
-            done=self.sim.event(),
-            gate=gate,
             request_id=request_id,
-            joined_at=self.sim.now,
             prefill_remaining=prefill_tokens,
-            prefill_done_at=self.sim.now if prefill_tokens <= 0 else None,
         )
+        return self._enqueue(seq, gate)
+
+    def _enqueue(self, seq: BatchedSequence, gate) -> BatchedSequence:
+        """Queue ``seq`` for a decode attempt (a first join or a resume)."""
+        seq.done = self.sim.event()
+        seq.gate = gate
+        seq.state = "waiting"
+        seq.joined_at = self.sim.now
+        seq.prefill_done_at = self.sim.now if seq.prefill_remaining <= 0 else None
         self.waiting.append(seq)
         if self._stepper is None:
             self._stepper = self.sim.process(
@@ -326,17 +317,18 @@ class DecodeBatchEngine:
             )
         return seq
 
-    def rejoin(self, parked: ParkedSequence, gate=None) -> BatchedSequence:
+    def rejoin(self, parked: BatchedSequence, gate=None) -> BatchedSequence:
         """Resume a parked sequence: restore its checkpointed block list
-        and re-enter the waiting queue with its decode state intact.
+        and re-queue it, decode state intact, under a fresh ``done``
+        event and ``gate``.
 
-        Restore -> unpark -> join is atomic with respect to the parked
-        map: the entry is removed exactly once, *after* the checkpoint
-        validated.  A terminal restore failure (checkpoint divergence)
-        drops the entry and releases the blocks — a parked sequence
-        whose resume can never succeed must not strand its memory."""
-        entry = self.parked.get(parked.request_id)
-        if entry is not parked:
+        Restore -> unpark -> re-queue is atomic with respect to the
+        parked map: the entry is removed exactly once, *after* the
+        checkpoint validated.  A terminal restore failure (checkpoint
+        divergence) drops the entry and releases the blocks — a parked
+        sequence whose resume can never succeed must not strand its
+        memory."""
+        if self.parked.get(parked.request_id) is not parked:
             raise ConfigurationError(
                 "rejoin of request %r which is not parked" % (parked.request_id,)
             )
@@ -348,37 +340,15 @@ class DecodeBatchEngine:
             raise
         self.parked.pop(parked.request_id, None)
         self.resumes += 1
-        seq = self.join(
-            parked.kv,
-            parked.prompt_tokens,
-            parked.target_tokens,
-            gate=gate,
-            request_id=parked.request_id,
-            prefill_tokens=parked.prefill_remaining,
-        )
-        seq.step_index = parked.step_index
-        seq.token_ids = list(parked.token_ids)
-        seq.step_times = list(parked.step_times)
-        seq.attribution = [dict(a) for a in parked.attribution]
-        return seq
+        return self._enqueue(parked, gate)
 
-    def park(self, seq: BatchedSequence, at: float) -> ParkedSequence:
-        checkpoint = seq.kv.park()
-        parked = ParkedSequence(
-            request_id=seq.request_id,
-            kv=seq.kv,
-            checkpoint=checkpoint,
-            token_ids=list(seq.token_ids),
-            step_times=list(seq.step_times),
-            attribution=[dict(a) for a in seq.attribution],
-            step_index=seq.step_index,
-            prompt_tokens=seq.prompt_tokens,
-            target_tokens=seq.target_tokens,
-            parked_at=at,
-            prefill_remaining=max(0, seq.prefill_remaining),
-        )
-        self.parked[seq.request_id] = parked
-        return parked
+    def park(self, seq: BatchedSequence, at: float) -> BatchedSequence:
+        """Checkpoint an evicted sequence's blocks and keep the sequence
+        under its request id until :meth:`rejoin`."""
+        seq.checkpoint = seq.kv.park()
+        seq.parked_at = at
+        self.parked[seq.request_id] = seq
+        return seq
 
     # ------------------------------------------------------------------
     # data-region backing (end-grown to the pool's high-water mark)

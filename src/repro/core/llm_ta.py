@@ -17,7 +17,7 @@ cache-policy-driven parameter release.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..config import PlatformSpec
 from ..errors import ConfigurationError, StorageError
@@ -235,7 +235,6 @@ class LLMTA(TrustedApplication):
         #: the legacy (unbatched) path's live KV cache, if any — exposed
         #: through ``kv_bytes_in_use`` so leak regressions are observable.
         self._active_kv: Optional[KVCache] = None
-        self.records: List[InferenceRecord] = []
         # Regions, plan and backend are wired by setup().
         self.plan: Optional[RestorationPlan] = None
         self.params_region: Optional[SecureRegion] = None
@@ -710,12 +709,11 @@ class LLMTA(TrustedApplication):
                 record.decode = seq.result(stopped_early=(seq.state == "evicted"))
                 if seq.state == "evicted":
                     record.preempted = True
-                    if request_id is not None and request_id in engine.parked:
+                    if engine.parked.get(request_id) is seq:
                         record.parked = True
-                        checkpoint = engine.parked[request_id]
-                        checkpoint.ttft = record.ttft
+                        seq.ttft = record.ttft
                         if record.first_token_at is not None:
-                            checkpoint.first_token_at = record.first_token_at
+                            seq.first_token_at = record.first_token_at
                         parked_out = True
             if (
                 kv is not None
@@ -775,7 +773,7 @@ class LLMTA(TrustedApplication):
         record.pipeline = yield from pipeline.run()
 
     def _finish(self, record: InferenceRecord) -> InferenceRecord:
-        """Count the request's decode attribution and keep its record."""
+        """Count the request's decode attribution."""
         totals = record.decode_attribution
         if totals is not None and self.metrics is not None:
             counter = self.metrics.counter(
@@ -784,7 +782,6 @@ class LLMTA(TrustedApplication):
             )
             for component, value in sorted(totals.items()):
                 counter.inc(value, component=component)
-        self.records.append(record)
         return record
 
     def _recover_batched(self):

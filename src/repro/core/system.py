@@ -331,7 +331,6 @@ class REELLM(_SystemBase):
         self.npu_backend = REEDriverNPUBackend(self.stack.ree_npu, AddrRange(ctx_addr, 4096))
         if mode == "memory":
             self._preload()
-        self.records = []
 
     def _preload(self) -> None:
         """Place all parameters in memory before the experiment starts."""
@@ -394,5 +393,4 @@ class REELLM(_SystemBase):
                 kv.reset()
         if self.release_after:
             yield from self.backend.release_to(0)
-        self.records.append(record)
         return record

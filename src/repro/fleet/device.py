@@ -21,7 +21,7 @@ fleet-wide registry, labeled ``device=<id>``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..config import PlatformSpec, RK3588
 from ..errors import ConfigurationError
@@ -108,7 +108,6 @@ class DeviceNode:
         self.session_model: Dict[str, str] = {}
         #: prefix_id -> prefix tokens computed here (LRU).
         self.prefixes: "OrderedDict[str, int]" = OrderedDict()
-        self.served: List[ServeRequest] = []
 
     # -- routing signals ----------------------------------------------
     @property
@@ -182,7 +181,6 @@ class DeviceNode:
     def _note_served(self, request: FleetRequest, served: ServeRequest) -> None:
         if served.failed or served.cancelled:
             return
-        self.served.append(served)
         # The turn's full KV (prefix + history + this turn + reply) is now
         # resident here; the session entry refreshes its LRU position.
         self.sessions.pop(request.session_id, None)

@@ -212,7 +212,6 @@ class FleetRouter:
         self._rewarm_owed: Dict[str, str] = {}
         self.rebalanced_sessions = 0
         self.tickets: List[FleetTicket] = []
-        self.routed: List[ServeRequest] = []
         self.shed: List[FleetTicket] = []
         self.shed_reasons: Dict[str, int] = {}
         self.hedges = 0
@@ -352,7 +351,6 @@ class FleetRouter:
                     ticket, served
                 )
             )
-            self.routed.append(served)
             return served
         return None
 

@@ -136,7 +136,6 @@ class SurrogateLLM:
         #: one fault per entry, consumed in order by the next infer on the
         #: model — lets tests and chaos drills open a lane breaker.
         self._faults: Dict[str, List[BaseException]] = {}
-        self.records: List[InferenceRecord] = []
         #: gray-failure multiplier on every analytically-priced duration
         #: (restore, prefill, decode, probes).  1.0 = healthy; a gray
         #: device inflates latency without raising a single error.
@@ -313,5 +312,4 @@ class SurrogateLLM:
             )
         ta.serves += 1
         ta.last_used = sim.now
-        self.records.append(record)
         return record

@@ -29,7 +29,6 @@ from .kv_cache import (
 from .models import LLAMA3_8B, MODELS, PHI3_MINI, QWEN25_3B, TINYLLAMA, ModelSpec, get_model
 from .ops import Engine, op_duration, op_duration_with_launch
 from .quantization import dequantize_q8, quantize_q8
-from .sampler import Sampler, SamplerConfig
 from .runtime import (
     DecodeResult,
     DirectNPUBackend,
@@ -65,9 +64,7 @@ __all__ = [
     "PrefixTree",
     "PromptSpec",
     "REEDriverNPUBackend",
-    "Sampler",
     "ShareResult",
-    "SamplerConfig",
     "TEECoDriverNPUBackend",
     "TensorMeta",
     "TensorRole",

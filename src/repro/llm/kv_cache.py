@@ -221,6 +221,9 @@ class KVBlockPool:
         self.cows = 0
         #: prefix-tree attach point (set by :class:`PrefixTree`).
         self.tree: Optional["PrefixTree"] = None
+        #: the unreleased caches (:class:`PagedKVCache`) drawing on this
+        #: pool, in creation order: the holders of every block reference.
+        self.caches: Dict["PagedKVCache", None] = {}
         #: memory-timeline attach point (repro.obs.memory).
         self.timeline = None
 
@@ -645,6 +648,7 @@ class PagedKVCache:
         #: prefill actually succeeded — a faulted attempt must not
         #: poison the tree with never-computed content.
         self._pending: List[Tuple[Tuple, int, int]] = []
+        pool.caches[self] = None
 
     @property
     def bytes_used(self) -> int:
@@ -824,6 +828,7 @@ class PagedKVCache:
         if self.released:
             return
         self.released = True
+        self.pool.caches.pop(self, None)
         was_parked = self.parked
         self.parked = False
         for block in self.block_ids:

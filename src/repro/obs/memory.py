@@ -147,7 +147,8 @@ class MemoryTimeline:
         """Wire the timeline hook into ``target`` (a TZLLM-like system):
         every hook site that declares ``timeline`` — the TZASC, the TAs'
         secure regions and their block pools — then learn the slot names
-        and pools the events will refer to."""
+        and pools the events will refer to, and the blocks each tenant's
+        live caches already hold."""
         set_hook(target, "timeline", self)
         self._target = target
         self._tzasc = getattr(target, "stack", target).board.tzasc
@@ -163,6 +164,13 @@ class MemoryTimeline:
                     slot=ta.data_region.tzasc_slot,
                     fixed_bytes=engine.fixed_bytes,
                 )
+        # Credit the blocks already held (one per holder reference, as
+        # alloc and ref do), so their later releases debit what was held.
+        for tracked in self._pools.values():
+            pool = tracked.pool
+            for kv in pool.caches:
+                if kv.block_ids:
+                    self._tenant_add(kv.owner, len(kv.block_ids) * pool.block_bytes)
         self._stranded = self.stranded_bytes
         self._last_t = self.sim.now
         return self
@@ -285,8 +293,6 @@ class MemoryTimeline:
         if cell is None:
             cell = self._tenants[tenant] = [0.0, 0.0]
         cell[0] += delta
-        if cell[0] < 0.0:
-            cell[0] = 0.0
 
     # ------------------------------------------------------------------
     # the hook

@@ -39,7 +39,7 @@ from .errors import AdmissionRejected, CircuitOpen, ContextTooLong, QueueFull, S
 from .gateway import GatewayConfig, ServeGateway
 from .loadgen import LoadGenerator
 from .request import ServeRequest
-from .slo import GaugeSeries, LatencyHistogram, SLOAccountant
+from .slo import SLOAccountant
 
 __all__ = [
     "AdmissionController",
@@ -49,8 +49,6 @@ __all__ = [
     "ContextTooLong",
     "ClassPolicy",
     "GatewayConfig",
-    "GaugeSeries",
-    "LatencyHistogram",
     "LoadGenerator",
     "PriorityClass",
     "QueueFull",

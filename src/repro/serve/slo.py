@@ -1,18 +1,18 @@
-"""SLO accounting: per-class latency histograms and utilization gauges.
+"""SLO accounting: per-class latency summaries and utilization.
 
 Everything is sampled on *simulated* time and kept in plain deterministic
 containers, so two identical runs produce byte-identical metric exports
-(`to_dict` → JSON).  Histograms retain raw values (serving traces here
-are thousands of points, not billions) and summarize through the shared
-:func:`repro.analysis.metrics.percentile` helpers; gauges are
-event-sampled step series (queue depth changes exactly at enqueue /
-dispatch instants, so sampling on transitions loses nothing).
+(`to_dict` → JSON).  Latency summaries are computed on demand from the
+completed requests the accountant observed (each request already carries
+its TTFT, TBT and end-to-end latency) through the shared
+:class:`repro.analysis.metrics.LatencySummary`; queue depth keeps only a
+running per-class peak, since the current depth is the
+``serve_queue_depth`` gauge.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..analysis.metrics import LatencySummary
 from ..errors import ConfigurationError
@@ -21,90 +21,36 @@ from ..sim.trace import NULL_TRACER
 from .classes import ClassPolicy, PriorityClass
 from .request import ServeRequest
 
-__all__ = ["LatencyHistogram", "GaugeSeries", "SLOAccountant"]
+__all__ = ["SLOAccountant"]
 
-
-class LatencyHistogram:
-    """Latency samples with percentile summary and log-spaced buckets."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.values: List[float] = []
-
-    def add(self, value: float) -> None:
-        if value < 0:
-            raise ConfigurationError("negative latency sample in %s" % self.name)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def summary(self) -> Optional[LatencySummary]:
-        """p50/p95/p99/max, or None when no samples landed."""
-        if not self.values:
-            return None
-        return LatencySummary.from_values(self.values)
-
-    def buckets(self, base: float = 2.0, floor: float = 1e-3) -> List[Tuple[float, int]]:
-        """(upper_edge_seconds, count) pairs on log-spaced edges."""
-        if base <= 1.0:
-            raise ConfigurationError("bucket base must exceed 1")
-        counts: Dict[int, int] = {}
-        for value in self.values:
-            exponent = 0 if value <= floor else int(math.ceil(math.log(value / floor, base) - 1e-12))
-            counts[exponent] = counts.get(exponent, 0) + 1
-        return [(floor * base ** e, counts[e]) for e in sorted(counts)]
-
-
-class GaugeSeries:
-    """A step-function gauge sampled at state transitions."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.samples: List[Tuple[float, float]] = []
-
-    def sample(self, at: float, value: float) -> None:
-        self.samples.append((at, float(value)))
-
-    @property
-    def last(self) -> float:
-        return self.samples[-1][1] if self.samples else 0.0
-
-    def max_value(self) -> float:
-        return max((v for _, v in self.samples), default=0.0)
-
-    def time_weighted_mean(self, until: float) -> float:
-        """Mean of the step function over [first sample, until]."""
-        if not self.samples or until <= self.samples[0][0]:
-            return 0.0
-        area = 0.0
-        for (t0, v0), (t1, _v1) in zip(self.samples, self.samples[1:]):
-            if t0 >= until:
-                break
-            area += v0 * (min(t1, until) - t0)
-        last_t, last_v = self.samples[-1]
-        if until > last_t:
-            area += last_v * (until - last_t)
-        return area / (until - self.samples[0][0])
+#: summary kind -> the latency it reads off a completed request, or None
+#: where the request has no such sample (a TBT needs two tokens).
+_LATENCY = {
+    "ttft": lambda request: request.ttft,
+    "tbt": lambda request: request.tbt if request.tokens_generated > 1 else None,
+    "e2e": lambda request: request.e2e_latency,
+}
 
 
 class _ClassStats:
     """Per-class view over the accountant's metric registry.
 
-    Latency histograms keep raw values locally (percentile summaries need
-    them); every scalar counter reads through to labeled instruments on
-    the shared :class:`~repro.obs.MetricsRegistry`, so the same numbers
-    appear in ``accountant.to_dict()`` and in the registry's Prometheus
-    export without double bookkeeping.
+    Keeps the class's completed requests (percentile summaries are
+    computed from them) and its queue-depth peak; every scalar counter
+    reads through to labeled instruments on the shared
+    :class:`~repro.obs.MetricsRegistry`, so the same numbers appear in
+    ``accountant.to_dict()`` and in the registry's Prometheus export
+    without double bookkeeping.
     """
 
     def __init__(self, cls: PriorityClass, registry: MetricsRegistry):
         self.cls = cls
         self._registry = registry
         self._label = cls.label
-        self.ttft = LatencyHistogram("%s:ttft" % cls.label)
-        self.tbt = LatencyHistogram("%s:tbt" % cls.label)
-        self.e2e = LatencyHistogram("%s:e2e" % cls.label)
+        #: completed requests in observation order.
+        self.observed: List[ServeRequest] = []
+        #: the deepest this class's queue has been.
+        self.queue_depth_max = 0.0
 
     def _value(self, name: str) -> int:
         counter = self._registry.counter(name)
@@ -194,9 +140,6 @@ class SLOAccountant:
         self.classes: Dict[PriorityClass, _ClassStats] = {
             cls: _ClassStats(cls, self.registry) for cls in PriorityClass
         }
-        self.queue_depth: Dict[PriorityClass, GaugeSeries] = {
-            cls: GaugeSeries("queue:%s" % cls.label) for cls in PriorityClass
-        }
         #: per-model busy-time accumulation for utilization.
         self._busy_since: Dict[str, Optional[float]] = {}
         self._busy_total: Dict[str, float] = {}
@@ -206,7 +149,9 @@ class SLOAccountant:
     # transition hooks (the gateway calls these)
     # ------------------------------------------------------------------
     def note_queue_depth(self, cls: PriorityClass, depth: int) -> None:
-        self.queue_depth[cls].sample(self.sim.now, depth)
+        stats = self.classes[cls]
+        if depth > stats.queue_depth_max:
+            stats.queue_depth_max = float(depth)
         self.registry.gauge("serve_queue_depth", "Requests queued per class").set(
             depth, **{"class": cls.label}
         )
@@ -278,7 +223,14 @@ class SLOAccountant:
 
     def observe(self, request: ServeRequest) -> None:
         """Fold one completed request into its class's metrics."""
+        for kind, latency in _LATENCY.items():
+            value = latency(request)
+            if value is not None and value < 0:
+                raise ConfigurationError(
+                    "negative %s latency for request %d" % (kind, request.request_id)
+                )
         stats = self.classes[request.priority]
+        stats.observed.append(request)
         label = {"class": request.priority.label}
         self.registry.counter("serve_completed_total", "Completed requests").inc(**label)
         self.registry.counter("serve_tokens_out_total", "Tokens generated").inc(
@@ -287,10 +239,6 @@ class SLOAccountant:
         self.registry.histogram(
             "serve_ttft_seconds", "Time to first token"
         ).observe(request.ttft, **label)
-        stats.ttft.add(request.ttft)
-        stats.e2e.add(request.e2e_latency)
-        if request.tokens_generated > 1:
-            stats.tbt.add(request.tbt)
         attained = request.slo_attained
         if attained is True:
             self.registry.counter("serve_slo_total", "SLO outcomes").inc(
@@ -317,11 +265,14 @@ class SLOAccountant:
         return busy / window
 
     def summary(self, cls: PriorityClass, kind: str = "ttft") -> Optional[LatencySummary]:
-        stats = self.classes[cls]
-        hist = {"ttft": stats.ttft, "tbt": stats.tbt, "e2e": stats.e2e}.get(kind)
-        if hist is None:
+        """p50/p95/p99/max of one latency over the class's completed
+        requests, or None when none has that sample."""
+        latency = _LATENCY.get(kind)
+        if latency is None:
             raise ConfigurationError("kind must be ttft/tbt/e2e, got %r" % (kind,))
-        return hist.summary()
+        observed = self.classes[cls].observed
+        values = [value for value in map(latency, observed) if value is not None]
+        return LatencySummary.from_values(values) if values else None
 
     def throughput_tokens_per_second(self, cls: PriorityClass, until: Optional[float] = None) -> float:
         until = self.sim.now if until is None else until
@@ -346,7 +297,7 @@ class SLOAccountant:
                 "retries": stats.retries,
                 "slo_attained": stats.slo_attained,
                 "slo_violated": stats.slo_violated,
-                "queue_depth_max": self.queue_depth[cls].max_value(),
+                "queue_depth_max": stats.queue_depth_max,
             }
             for kind in ("ttft", "tbt", "e2e"):
                 summary = self.summary(cls, kind)

@@ -31,11 +31,12 @@ __all__ = [
 
 def _percentile(values: List[float], q: float) -> float:
     """The ``q``-quantile (q in [0, 1]) by linear interpolation between
-    ranks — the same definition as
-    :func:`repro.analysis.metrics.percentile` (implemented locally: the
-    sim layer must not import analysis), so a resource's ``p99_wait``
-    and an analysis-side summary of the same samples agree exactly.
-    Returns 0.0 for an empty list (stats reports tolerate no samples).
+    ranks: the repo's one percentile formula.  It lives in the sim layer,
+    which must not import analysis;
+    :func:`repro.analysis.metrics.percentile` validates its arguments and
+    calls it, so a resource's ``p99_wait`` and an analysis-side summary
+    of the same samples agree exactly.  Returns 0.0 for an empty list
+    (stats reports tolerate no samples).
     """
     if not values:
         return 0.0

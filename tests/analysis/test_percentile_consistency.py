@@ -1,11 +1,11 @@
 """Percentile edge cases and cross-module consistency (one definition).
 
 The repo computes percentiles in three places: the analysis helpers
-(:func:`repro.analysis.metrics.percentile`), the serving SLO histograms
+(:func:`repro.analysis.metrics.percentile`), the serving SLO summaries
 (via :class:`~repro.analysis.metrics.LatencySummary`), and the simulator
-resource stats (:func:`repro.sim.resources._percentile`).  All three
-must agree on the same samples — a p99 that differs by implementation
-is a regression-gate hazard.
+resource stats (:func:`repro.sim.resources._percentile`, the one
+formula the other two call).  All three must agree on the same samples
+— a p99 that differs by implementation is a regression-gate hazard.
 """
 
 import pytest
@@ -82,7 +82,6 @@ def test_sim_percentile_empty_is_zero():
 
 
 def test_resource_p99_matches_latency_summary():
-    from repro.serve.slo import LatencyHistogram
     from repro.sim import Resource, Simulator
 
     sim = Simulator()
@@ -99,9 +98,6 @@ def test_resource_p99_matches_latency_summary():
     sim.run()
     waits = res.stats.wait_times
     assert len(waits) == 5
-    hist = LatencyHistogram("wait")
-    for w in waits:
-        hist.add(w)
-    summary = hist.summary()
+    summary = LatencySummary.from_values(waits)
     assert res.stats.p99_wait() == pytest.approx(summary.p99)
     assert res.stats.p99_wait() == pytest.approx(percentile(waits, 99))

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.analysis.regress import (
     Tolerance,
     compare,
@@ -181,6 +184,22 @@ def test_main_custom_tolerance_flag(tmp_path):
     args = ["--check", "--baselines", base, "--fresh", fresh]
     assert main(args) == 1
     assert main(args + ["--tolerance", "fig.loose=0.5"]) == 0
+
+
+def test_module_runs_as_a_command_without_runtime_warnings():
+    """``python -m repro.analysis.regress`` (the CI gate) must not find
+    the module already imported by its package: runpy would warn and run
+    a second copy of it as ``__main__``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.analysis.regress", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_update_baselines_returns_copied_paths(tmp_path):

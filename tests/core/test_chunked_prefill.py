@@ -195,6 +195,31 @@ def test_rejoin_terminal_failure_releases_blocks_exactly_once():
         engine.rejoin(parked)
 
 
+def test_park_and_rejoin_keep_one_sequence_object():
+    """The parked entry is the evicted sequence itself: no decode state
+    is copied out and back, and only ``result()`` snapshots it."""
+    system = make_system()
+    engine = system.ta.batch_engine
+    kv = PagedKVCache(engine.pool, owner="u/r5")
+    kv.init_prompt(32)
+    seq = engine.join(kv, 32, 4, request_id=5)
+    engine.waiting.remove(seq)
+    seq.token_ids.append(11)
+    first_done = seq.done
+    snapshot = seq.result(stopped_early=True)
+    assert engine.park(seq, at=1.5) is seq
+    assert engine.parked[5] is seq and seq.parked_at == 1.5
+    resumed = engine.rejoin(seq, gate="gate")
+    assert resumed is seq and 5 not in engine.parked
+    assert resumed.state == "waiting" and resumed.gate == "gate"
+    assert resumed.done is not first_done and not resumed.done.triggered
+    resumed.token_ids.append(12)
+    assert snapshot.token_ids == [11]  # the preempted attempt's copy
+    engine.waiting.remove(resumed)
+    kv.release()
+    engine.pool.check_conservation()
+
+
 # ----------------------------------------------------------------------
 # mid-prefill preemption through the gateway
 # ----------------------------------------------------------------------

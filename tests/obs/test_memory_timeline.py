@@ -166,15 +166,20 @@ def test_chrome_trace_memory_counter_lane():
     assert final["kv_live"] == timeline.kv_live_bytes
 
 
-def _attach_mid_run(system, gateway):
-    """Submit a burst, run until the first dispatch holds KV blocks, then
-    attach: the blocks allocated so far are released with no alloc event
-    in the ring."""
+def _submit_and_run_until_blocks_held(system, gateway):
+    """Submit a burst and run until the first dispatch holds KV blocks."""
     requests = [gateway.submit(32, 24, priority="batch", tenant=t) for t in "abac"]
     pool = system.ta.batch_engine.pool
     while pool.active_blocks == 0:
         assert system.sim.now < 60.0, "no dispatch allocated a block"
         system.sim.run(until=system.sim.now + 0.01)
+    return requests
+
+
+def _attach_mid_run(system, gateway):
+    """Attach once the first dispatch holds KV blocks: the blocks
+    allocated so far are released with no alloc event in the ring."""
+    requests = _submit_and_run_until_blocks_held(system, gateway)
     return MemoryTimeline(system.sim).attach(system), requests
 
 
@@ -208,6 +213,32 @@ def test_counter_lane_is_exact_without_the_full_history(start):
         "shared": totals["shared_bytes"],
         "stranded": totals["stranded_bytes"],
     }
+
+
+def test_mid_run_attach_integrates_tenants_like_a_from_start_attach():
+    """Blocks held at a mid-run attach are credited to their tenants, so
+    each tenant's byte-seconds equal what a from-start timeline adds
+    over the same window (undercredited, each release of a pre-attach
+    block would cancel one of the tenant's later allocations)."""
+    late_system, _obs, late_gateway = make_stack()
+    late, late_requests = _attach_mid_run(late_system, late_gateway)
+    early_system, _obs, early_gateway = make_stack()
+    early = MemoryTimeline(early_system.sim).attach(early_system)
+    early_requests = _submit_and_run_until_blocks_held(early_system, early_gateway)
+    assert early_system.sim.now == late_system.sim.now
+    before = early.tenant_byte_seconds()
+    for system, requests in (
+        (late_system, late_requests), (early_system, early_requests)
+    ):
+        for request in requests:
+            system.sim.run_until(request.completion)
+    assert early_system.sim.now == late_system.sim.now
+    after = early.tenant_byte_seconds()
+    window = {tenant: after[tenant] - before.get(tenant, 0.0) for tenant in after}
+    assert window["a"] > 0.0
+    got = late.tenant_byte_seconds()
+    for tenant in set(window) | set(got):
+        assert got.get(tenant, 0.0) == pytest.approx(window.get(tenant, 0.0), rel=1e-9)
 
 
 # ----------------------------------------------------------------------

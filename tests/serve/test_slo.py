@@ -1,13 +1,14 @@
-"""Unit tests for SLO accounting: histograms, gauges, the accountant."""
+"""Unit tests for SLO accounting: the accountant's summaries, queue-depth
+peak, utilization and export."""
 
 import json
 
 import pytest
 
+from repro.core import InferenceRecord
 from repro.errors import ConfigurationError
+from repro.llm import DecodeResult
 from repro.serve import (
-    GaugeSeries,
-    LatencyHistogram,
     PriorityClass,
     SLOAccountant,
     ServeRequest,
@@ -40,63 +41,61 @@ def make_done_request(request_id=1, priority=PriorityClass.INTERACTIVE, **kwargs
 
 
 # ----------------------------------------------------------------------
-# histogram
+# summaries computed from the observed requests
 # ----------------------------------------------------------------------
 def test_histogram_summary_and_empty():
-    hist = LatencyHistogram("x")
-    assert hist.summary() is None
-    for v in (0.1, 0.2, 0.3, 0.4):
-        hist.add(v)
-    summary = hist.summary()
+    acct = SLOAccountant(FakeSim(), default_policies())
+    assert acct.summary(PriorityClass.INTERACTIVE, "ttft") is None
+    for i, ttft in enumerate((0.1, 0.2, 0.3, 0.4)):
+        acct.observe(make_done_request(i, first_token_at=ttft, finished_at=1.0))
+    summary = acct.summary(PriorityClass.INTERACTIVE, "ttft")
     assert summary.count == 4
     assert summary.p50 == pytest.approx(0.25)
     assert summary.max == pytest.approx(0.4)
-    assert len(hist) == 4
+    # No decode record: a request with fewer than two tokens has no TBT.
+    assert acct.summary(PriorityClass.INTERACTIVE, "tbt") is None
+    assert acct.summary(PriorityClass.INTERACTIVE, "e2e").count == 4
+    assert acct.summary(PriorityClass.BATCH, "ttft") is None
+
+
+def test_tbt_summary_counts_only_multi_token_requests():
+    def decoded(request_id, step_times):
+        record = InferenceRecord(prompt_tokens=16, output_tokens=4, started_at=0.0)
+        record.decode = DecodeResult(
+            token_ids=list(range(len(step_times))), step_times=list(step_times)
+        )
+        return make_done_request(request_id, record=record)
+
+    acct = SLOAccountant(FakeSim(), default_policies())
+    acct.observe(decoded(1, [0.5]))
+    acct.observe(decoded(2, [0.1, 0.3]))
+    acct.observe(decoded(3, [0.4, 0.4, 0.4]))
+    tbt = acct.summary(PriorityClass.INTERACTIVE, "tbt")
+    assert tbt.count == 2  # the one-token request has no gap
+    assert tbt.p50 == pytest.approx(0.3)  # mean gaps 0.2 and 0.4
+    assert acct.summary(PriorityClass.INTERACTIVE, "ttft").count == 3
+    assert acct.classes[PriorityClass.INTERACTIVE].tokens_out == 6
 
 
 def test_histogram_rejects_negative():
-    hist = LatencyHistogram("x")
+    acct = SLOAccountant(FakeSim(), default_policies())
     with pytest.raises(ConfigurationError):
-        hist.add(-0.1)
-
-
-def test_histogram_log_buckets():
-    hist = LatencyHistogram("x")
-    for v in (0.0005, 0.002, 0.003, 5.0):
-        hist.add(v)
-    buckets = hist.buckets(base=2.0, floor=1e-3)
-    edges = [edge for edge, _ in buckets]
-    counts = [count for _, count in buckets]
-    assert edges == sorted(edges)
-    assert sum(counts) == 4
-    # Every sample sits at or below its bucket's upper edge.
-    assert edges[0] == pytest.approx(1e-3)  # the <= floor bucket
-    assert counts[0] == 1
-    with pytest.raises(ConfigurationError):
-        hist.buckets(base=1.0)
-
-
-# ----------------------------------------------------------------------
-# gauges
-# ----------------------------------------------------------------------
-def test_gauge_step_function_mean():
-    gauge = GaugeSeries("depth")
-    gauge.sample(0.0, 2.0)
-    gauge.sample(10.0, 4.0)
-    assert gauge.last == 4.0
-    assert gauge.max_value() == 4.0
-    assert gauge.time_weighted_mean(20.0) == pytest.approx(3.0)
-    # Truncating the window weights only what happened inside it.
-    assert gauge.time_weighted_mean(10.0) == pytest.approx(2.0)
+        acct.observe(make_done_request(arrived_at=1.0, first_token_at=0.9))
+    # A rejected request leaves no trace in the class.
+    assert acct.classes[PriorityClass.INTERACTIVE].completed == 0
+    assert acct.summary(PriorityClass.INTERACTIVE, "ttft") is None
 
 
 def test_gauge_empty_and_degenerate():
-    gauge = GaugeSeries("depth")
-    assert gauge.last == 0.0
-    assert gauge.max_value() == 0.0
-    assert gauge.time_weighted_mean(10.0) == 0.0
-    gauge.sample(5.0, 1.0)
-    assert gauge.time_weighted_mean(5.0) == 0.0  # zero-width window
+    acct = SLOAccountant(FakeSim(), default_policies())
+    # No samples: the peak is zero, not an error.
+    assert acct.to_dict()["classes"]["batch"]["queue_depth_max"] == 0.0
+    # A queue that drains back to zero keeps its peak.
+    acct.note_queue_depth(PriorityClass.BATCH, 0)
+    acct.note_queue_depth(PriorityClass.BATCH, 2)
+    acct.note_queue_depth(PriorityClass.BATCH, 0)
+    assert acct.to_dict()["classes"]["batch"]["queue_depth_max"] == 2.0
+    assert acct.registry.gauge("serve_queue_depth").value(**{"class": "batch"}) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +139,7 @@ def test_accountant_queue_depth_and_rejections():
     acct.note_queue_depth(PriorityClass.BATCH, 3)
     sim.now = 1.0
     acct.note_queue_depth(PriorityClass.BATCH, 1)
-    assert acct.queue_depth[PriorityClass.BATCH].max_value() == 3.0
+    assert acct.to_dict()["classes"]["batch"]["queue_depth_max"] == 3.0
     acct.note_rejected(PriorityClass.INTERACTIVE, "queue-full")
     acct.note_rejected(PriorityClass.INTERACTIVE, "queue-full")
     acct.note_rejected(PriorityClass.INTERACTIVE, "slo-unattainable")
@@ -171,38 +170,3 @@ def test_accountant_export_is_json_stable():
     assert doc["classes"]["interactive"]["completed"] == 1
     assert doc["classes"]["interactive"]["ttft"]["p50"] == pytest.approx(1.0)
     assert doc["classes"]["batch"]["ttft"] is None  # no samples
-
-
-def test_histogram_buckets_edge_cases():
-    hist = LatencyHistogram("x")
-    # Empty histogram: no buckets, not an error.
-    assert hist.buckets() == []
-    # Single sample below the floor lands in the floor bucket.
-    hist.add(1e-6)
-    assert hist.buckets(base=2.0, floor=1e-3) == [(pytest.approx(1e-3), 1)]
-    # A sample exactly on a bucket edge counts in that bucket, not above.
-    hist2 = LatencyHistogram("y")
-    hist2.add(2e-3)  # == floor * base**1
-    ((edge, count),) = hist2.buckets(base=2.0, floor=1e-3)
-    assert edge == pytest.approx(2e-3)
-    assert count == 1
-
-
-def test_gauge_single_sample_mean_and_future_window():
-    gauge = GaugeSeries("depth")
-    gauge.sample(2.0, 3.0)
-    # One sample held for the whole window: the mean is that value.
-    assert gauge.time_weighted_mean(12.0) == pytest.approx(3.0)
-    # A window ending before the first sample has no area.
-    assert gauge.time_weighted_mean(1.0) == 0.0
-
-
-def test_gauge_samples_past_window_are_ignored():
-    gauge = GaugeSeries("depth")
-    gauge.sample(0.0, 1.0)
-    gauge.sample(4.0, 10.0)
-    gauge.sample(8.0, 100.0)
-    # Window [0, 4): only the first step contributes.
-    assert gauge.time_weighted_mean(4.0) == pytest.approx(1.0)
-    # Window [0, 6): 4s at 1.0, 2s at 10.0.
-    assert gauge.time_weighted_mean(6.0) == pytest.approx((4 * 1.0 + 2 * 10.0) / 6.0)
