@@ -49,6 +49,7 @@ cheapest early signal that part of the fleet went gray).
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import ConfigurationError
@@ -213,6 +214,8 @@ class FleetRouter:
         self.rebalanced_sessions = 0
         self.tickets: List[FleetTicket] = []
         self.shed: List[FleetTicket] = []
+        #: numbers admitted and shed tickets alike.
+        self._ticket_ids = itertools.count()
         self.shed_reasons: Dict[str, int] = {}
         self.hedges = 0
         self.hedge_wins = 0
@@ -282,7 +285,7 @@ class FleetRouter:
         """Place one request; raises :class:`FleetSaturated` on shed."""
         self._requests_total.inc()
         self._rebalance_if_pinned_sick(request)
-        ticket = FleetTicket(len(self.tickets), request, self.sim)
+        ticket = FleetTicket(next(self._ticket_ids), request, self.sim)
         eligible = self.eligible(request)
         if not eligible:
             self._note_shed(ticket, "no-eligible-device")

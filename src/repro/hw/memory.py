@@ -7,13 +7,16 @@ real ``cpu_read`` in the non-secure world, and it really raises
 :class:`~repro.errors.AccessDenied` instead of returning parameter bytes.
 
 Pages are materialized lazily (16 GiB of simulated RAM costs nothing
-until written).  There is no timing here — callers charge simulated time
-through their own cost models.
+until written), and an ascending index of the materialized page numbers
+lets zeroing and copying visit only the pages that hold bytes.  There is
+no timing here — callers charge simulated time through their own cost
+models.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, List, Optional
 
 from ..config import PAGE_SIZE
 from ..errors import ConfigurationError
@@ -32,6 +35,8 @@ class PhysicalMemory:
         self.total_bytes = total_bytes
         self.tzasc = tzasc if tzasc is not None else TZASC()
         self._pages: Dict[int, bytearray] = {}
+        #: the keys of ``_pages``, ascending.
+        self._materialized: List[int] = []
 
     # ------------------------------------------------------------------
     # bounds + raw access
@@ -47,7 +52,15 @@ class PhysicalMemory:
         if page is None:
             page = bytearray(PAGE_SIZE)
             self._pages[index] = page
+            insort(self._materialized, index)
         return page
+
+    def _materialized_in(self, base: int, size: int) -> List[int]:
+        """Materialized pages overlapping ``[base, base + size)``, ascending."""
+        index = self._materialized
+        lo = bisect_left(index, base // PAGE_SIZE)
+        hi = bisect_left(index, -(-(base + size) // PAGE_SIZE))
+        return index[lo:hi]
 
     def _raw_read(self, base: int, size: int) -> bytes:
         self._check_bounds(base, size)
@@ -75,6 +88,38 @@ class PhysicalMemory:
             self._page(page_index)[offset : offset + chunk] = data[pos : pos + chunk]
             pos += chunk
             addr += chunk
+
+    def _raw_write_many(self, addresses: Iterable[int], blobs: Iterable[bytes]) -> None:
+        """``_raw_write(address, blob)`` for each pair, in one pass.
+
+        For many small blobs (stress-ng's per-frame patterns): a blob
+        inside one page is one slice assignment, one that crosses a page
+        boundary takes :meth:`_raw_write`.  Bounds are checked per blob,
+        and blobs before a rejected one stay written.
+        """
+        total = self.total_bytes
+        pages = self._pages
+        fresh: List[int] = []
+        try:
+            for base, data in zip(addresses, blobs):
+                size = len(data)
+                if base < 0 or base + size > total:
+                    self._check_bounds(base, size)
+                if not size:
+                    continue
+                page_index, offset = divmod(base, PAGE_SIZE)
+                if offset + size > PAGE_SIZE:
+                    self._raw_write(base, data)
+                    continue
+                page = pages.get(page_index)
+                if page is None:
+                    page = pages[page_index] = bytearray(PAGE_SIZE)
+                    fresh.append(page_index)
+                page[offset : offset + size] = data
+        finally:
+            if fresh:
+                self._materialized += fresh
+                self._materialized.sort()
 
     # ------------------------------------------------------------------
     # filtered access
@@ -111,22 +156,17 @@ class PhysicalMemory:
     def _zero_raw(self, base: int, size: int) -> None:
         if size <= 0:
             return
-        first_page, first_off = divmod(base, PAGE_SIZE)
-        last_page = (base + size - 1) // PAGE_SIZE
-        span_pages = last_page - first_page + 1
-        if span_pages > len(self._pages):
-            candidates = [p for p in self._pages if first_page <= p <= last_page]
-        else:
-            candidates = [p for p in range(first_page, last_page + 1) if p in self._pages]
-        for page_index in candidates:
-            page = self._pages[page_index]
-            start = first_off if page_index == first_page else 0
-            end = (base + size) - page_index * PAGE_SIZE
-            end = min(PAGE_SIZE, end)
-            page[start:end] = b"\x00" * (end - start)
+        end = base + size
+        pages = self._pages
+        for page_index in self._materialized_in(base, size):
+            page_base = page_index * PAGE_SIZE
+            start = max(base - page_base, 0)
+            stop = min(end - page_base, PAGE_SIZE)
+            pages[page_index][start:stop] = bytes(stop - start)
 
     def copy_range(self, src: int, dst: int, size: int) -> None:
-        """Raw copy that skips never-materialized (all-zero) source pages.
+        """Raw copy between disjoint ranges that skips never-materialized
+        (all-zero) source pages.
 
         Used by page migration: copying a mostly-untouched granule costs
         nothing, exactly like copying zero pages costs the real kernel a
@@ -137,14 +177,12 @@ class PhysicalMemory:
         # Clear stale destination content first: absent source pages are
         # logically zero, and the copy must not leak a prior occupant.
         self._zero_raw(dst, size)
-        first_page = src // PAGE_SIZE
-        last_page = (src + size - 1) // PAGE_SIZE if size else first_page - 1
-        for page_index in range(first_page, last_page + 1):
-            page = self._pages.get(page_index)
-            if page is None:
-                continue
+        end = src + size
+        pages = self._pages
+        for page_index in self._materialized_in(src, size):
             page_base = page_index * PAGE_SIZE
             start = max(src, page_base)
-            end = min(src + size, page_base + PAGE_SIZE)
-            data = bytes(page[start - page_base : end - page_base])
-            self._raw_write(dst + (start - src), data)
+            stop = min(end, page_base + PAGE_SIZE)
+            self._raw_write(
+                dst + (start - src), pages[page_index][start - page_base : stop - page_base]
+            )

@@ -8,7 +8,9 @@ placement rules the CMA design depends on:
   memory is full (unmovable pages would make the region un-reclaimable),
   and the spill is delegated to the owning :class:`~repro.ree.cma.CMARegion`.
 
-Frame choice is lowest-index-first, which keeps runs deterministic.  The
+Frame choice is lowest-index-first, which keeps runs deterministic: the
+free pool outside CMA is one ascending list, so an allocation takes its
+head as one slice and a free merges its frames back in bulk.  The
 allocator also provides the Fig. 3 cost model: 4 KiB-page allocation is a
 fast path whose time is proportional to bytes (page-table + zeroing work)
 and *insensitive to memory pressure* — the contrast with CMA migration.
@@ -16,9 +18,10 @@ and *insensitive to memory pressure* — the contrast with CMA migration.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from itertools import islice
-from typing import Dict, List
+from operator import attrgetter
+from typing import Dict, Iterable, List
 
 from ..config import MemorySpec
 from ..errors import OutOfMemory
@@ -33,6 +36,7 @@ class BuddyAllocator:
     def __init__(self, db: FrameDB):
         self.db = db
         self._cma_regions: List = []  # CMARegion instances, attached later
+        #: free frames outside every CMA region, ascending.
         self._free_outside: List[int] = []
         self._cma_frames = set()
         #: allocations whose pages may be dropped under memory pressure
@@ -51,7 +55,6 @@ class BuddyAllocator:
         self._free_outside = [
             frame for frame in range(self.db.n_frames) if frame not in self._cma_frames
         ]
-        heapq.heapify(self._free_outside)
 
     # ------------------------------------------------------------------
     @property
@@ -88,7 +91,7 @@ class BuddyAllocator:
             if not take:
                 continue
             self.db.release_frames(alloc, take)
-            self.return_frames(take)
+            self._return_outside(sorted(take))
             freed += len(take)
             self.reclaimed_frames += len(take)
             if alloc.freed:
@@ -112,7 +115,6 @@ class BuddyAllocator:
             raise OutOfMemory(
                 "%d frames requested, %d available (movable=%s)" % (n_frames, available, movable)
             )
-        frames: List[int] = []
         from_cma = 0
         if movable and self._cma_regions:
             # Linux's utilization heuristic: movable allocations draw from
@@ -130,8 +132,8 @@ class BuddyAllocator:
                 balanced = (n_frames - outside + inside + 1) // 2
                 from_cma = min(n_frames, inside, max(0, balanced))
         from_outside = min(n_frames - from_cma, len(self._free_outside))
-        for _ in range(from_outside):
-            frames.append(heapq.heappop(self._free_outside))
+        frames = self._free_outside[:from_outside]
+        del self._free_outside[:from_outside]
         remaining = n_frames - len(frames)
         for region in sorted(self._cma_regions, key=lambda r: -r.free_frames):
             if remaining == 0:
@@ -154,25 +156,38 @@ class BuddyAllocator:
             self.reclaim_outside(1)
         if not self._free_outside:
             raise OutOfMemory("no free frames outside CMA for migration")
-        return heapq.heappop(self._free_outside)
+        return self._free_outside.pop(0)
 
     def free(self, alloc: Allocation) -> None:
         """Release ``alloc``; a freed allocation is never reclaimed."""
-        frames = list(alloc.frames)
         self.db.release(alloc)
         self._reclaimable.pop(alloc.alloc_id, None)
-        self.return_frames(frames)
+        self.return_frames(alloc.frames)  # a freed allocation keeps its set
 
-    def return_frames(self, frames: List[int]) -> None:
-        """Give freed frames back to whichever pool owns them."""
-        for frame in frames:
-            if frame in self._cma_frames:
-                for region in self._cma_regions:
-                    if region.start_frame <= frame < region.end_frame:
-                        region.return_frame(frame)
-                        break
-            else:
-                heapq.heappush(self._free_outside, frame)
+    def return_frames(self, frames: Iterable[int]) -> None:
+        """Give freed frames back to whichever pool owns them: each CMA
+        region takes its slice of the sorted frames, and the rest merge
+        into the outside pool."""
+        frames = sorted(frames)
+        outside: List[int] = []
+        pos = 0
+        for region in sorted(self._cma_regions, key=attrgetter("start_frame")):
+            lo = bisect_left(frames, region.start_frame, pos)
+            hi = bisect_left(frames, region.end_frame, lo)
+            outside += frames[pos:lo]
+            if hi > lo:
+                region.return_frames(frames[lo:hi])
+            pos = hi
+        outside += frames[pos:]
+        self._return_outside(outside)
+
+    def _return_outside(self, frames: List[int]) -> None:
+        """Merge ascending frames outside every CMA region into the pool."""
+        if len(frames) == 1:
+            insort(self._free_outside, frames[0])
+        elif frames:
+            self._free_outside += frames
+            self._free_outside.sort()
 
     # cost model --------------------------------------------------------
     def alloc_seconds(self, n_bytes: float, spec: MemorySpec) -> float:

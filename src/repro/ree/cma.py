@@ -117,10 +117,12 @@ class CMARegion:
             self._free.discard(frame)
         return take
 
-    def return_frame(self, frame: int) -> None:
-        if not self.start_frame <= frame < self.end_frame:
-            raise MemoryError_("frame %d outside CMA region %s" % (frame, self.name))
-        self._free.add(frame)
+    def return_frames(self, frames: List[int]) -> None:
+        """Take back spilled frames the buddy freed (ascending)."""
+        for frame in (frames[0], frames[-1]):
+            if not self.start_frame <= frame < self.end_frame:
+                raise MemoryError_("frame %d outside CMA region %s" % (frame, self.name))
+        self._free.update(frames)
 
     # ------------------------------------------------------------------
     # contiguous allocation (timed generator)

@@ -9,14 +9,15 @@ Linux rule the paper relies on).
 
 The database is purely functional bookkeeping; allocators charge simulated
 time themselves.  Allocations hold their granules as a set so migration
-(retargeting one granule) is O(1) even for multi-GB allocations.
+(retargeting one granule) is O(1) even for multi-GB allocations, and
+claim and release check and set whole runs of consecutive granules.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..config import PAGE_SIZE
 from ..errors import ConfigurationError, MemoryError_
@@ -79,7 +80,11 @@ class Allocation:
 
 
 class FrameDB:
-    """Ownership and state of every granule of physical RAM."""
+    """Ownership of every granule of physical RAM.
+
+    A granule's state follows from its owner: FREE when it has none,
+    else MOVABLE or UNMOVABLE as its allocation is.
+    """
 
     def __init__(self, total_bytes: int, granule: int = PAGE_SIZE):
         if granule % PAGE_SIZE != 0 or granule <= 0:
@@ -89,7 +94,6 @@ class FrameDB:
         self.total_bytes = total_bytes
         self.granule = granule
         self.n_frames = total_bytes // granule
-        self._state: List[FrameState] = [FrameState.FREE] * self.n_frames
         self._owner: List[Optional[int]] = [None] * self.n_frames
         self._allocations: Dict[int, Allocation] = {}
         self._ids = itertools.count(1)
@@ -107,7 +111,12 @@ class FrameDB:
     # queries
     # ------------------------------------------------------------------
     def state(self, frame: int) -> FrameState:
-        return self._state[frame]
+        alloc_id = self._owner[frame]
+        if alloc_id is None:
+            return FrameState.FREE
+        if self._allocations[alloc_id].movable:
+            return FrameState.MOVABLE
+        return FrameState.UNMOVABLE
 
     def owner(self, frame: int) -> Optional[Allocation]:
         alloc_id = self._owner[frame]
@@ -118,7 +127,7 @@ class FrameDB:
 
     @property
     def free_frames(self) -> int:
-        return sum(1 for s in self._state if s is FrameState.FREE)
+        return self._owner.count(None)
 
     @property
     def used_bytes(self) -> int:
@@ -131,9 +140,12 @@ class FrameDB:
         self, frames: Iterable[int], movable: bool, tag: str, contiguous: bool = False
     ) -> Allocation:
         frames = list(frames)
-        for frame in frames:
-            if self._state[frame] is not FrameState.FREE:
-                raise MemoryError_("frame %d is not free" % frame)
+        owner = self._owner
+        runs = _runs(frames)
+        for start, stop in runs:
+            if owner[start:stop].count(None) != stop - start:
+                bad = next((f for f in frames if owner[f] is not None), start)
+                raise MemoryError_("frame %d is not free" % bad)
         alloc = Allocation(
             alloc_id=next(self._ids),
             frames=frames,
@@ -141,25 +153,25 @@ class FrameDB:
             tag=tag,
             contiguous=contiguous,
         )
-        new_state = FrameState.MOVABLE if movable else FrameState.UNMOVABLE
-        for frame in frames:
-            self._state[frame] = new_state
-            self._owner[frame] = alloc.alloc_id
+        for start, stop in runs:
+            owner[start:stop] = [alloc.alloc_id] * (stop - start)
         self._allocations[alloc.alloc_id] = alloc
         return alloc
 
     def release(self, alloc: Allocation) -> None:
         if alloc.freed:
             raise MemoryError_("allocation %d already freed" % alloc.alloc_id)
-        for frame in alloc.frames:
-            if self._owner[frame] != alloc.alloc_id:
-                raise MemoryError_(
-                    "frame %d not owned by allocation %d" % (frame, alloc.alloc_id)
-                )
-            self._state[frame] = FrameState.FREE
-            self._owner[frame] = None
+        owner = self._owner
+        alloc_id = alloc.alloc_id
+        runs = _runs(sorted(alloc.frames))
+        for start, stop in runs:
+            if owner[start:stop].count(alloc_id) != stop - start:
+                bad = next((f for f in alloc.frames if owner[f] != alloc_id), start)
+                raise MemoryError_("frame %d not owned by allocation %d" % (bad, alloc_id))
+        for start, stop in runs:
+            owner[start:stop] = [None] * (stop - start)
         alloc.freed = True
-        del self._allocations[alloc.alloc_id]
+        del self._allocations[alloc_id]
 
     def release_frames(self, alloc: Allocation, frames: Iterable[int]) -> None:
         """Release a subset of an allocation's granules (CMA shrink path)."""
@@ -167,7 +179,6 @@ class FrameDB:
         for frame in frames:
             if not alloc.owns(frame):
                 raise MemoryError_("frame %d not in allocation %d" % (frame, alloc.alloc_id))
-            self._state[frame] = FrameState.FREE
             self._owner[frame] = None
         alloc.frames -= frames
         if not alloc.frames:
@@ -178,12 +189,26 @@ class FrameDB:
         """Retarget one granule of a movable allocation (after a copy)."""
         if not alloc.movable:
             raise MemoryError_("cannot migrate unmovable allocation %d" % alloc.alloc_id)
-        if self._state[new] is not FrameState.FREE:
+        if self._owner[new] is not None:
             raise MemoryError_("migration destination %d not free" % new)
         if self._owner[old] != alloc.alloc_id:
             raise MemoryError_("frame %d not owned by allocation %d" % (old, alloc.alloc_id))
-        self._state[new] = FrameState.MOVABLE
         self._owner[new] = alloc.alloc_id
-        self._state[old] = FrameState.FREE
         self._owner[old] = None
         alloc.replace_frame(old, new)
+
+
+def _runs(frames: List[int]) -> List[Tuple[int, int]]:
+    """The maximal runs of consecutive ascending frames in ``frames``, in
+    list order, as half-open ``(start, stop)`` pairs."""
+    if not frames:
+        return []
+    runs = []
+    start = prev = frames[0]
+    for frame in itertools.islice(frames, 1, None):
+        if frame != prev + 1:
+            runs.append((start, prev + 1))
+            start = frame
+        prev = frame
+    runs.append((start, prev + 1))
+    return runs

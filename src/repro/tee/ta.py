@@ -25,6 +25,13 @@ class TrustedApplication:
 
     # The TEE OS mutates these; TAs only read.
     def _map(self, rng: AddrRange) -> None:
+        """Map ``rng``.  A range that starts where a mapped piece ends
+        extends that piece, so a region grown by successive
+        ``extend_protected`` calls stays one piece."""
+        for index, piece in enumerate(self.mapped):
+            if piece.end == rng.base:
+                self.mapped[index] = AddrRange(piece.base, piece.size + rng.size)
+                return
         self.mapped.append(rng)
 
     def _unmap(self, rng: AddrRange) -> None:
@@ -33,8 +40,8 @@ class TrustedApplication:
     def can_access(self, rng: AddrRange) -> bool:
         """True if ``rng`` lies entirely within the TA's mapped ranges.
 
-        Mappings created by successive ``extend_protected`` calls are
-        adjacent, so a range may be covered by several mapped pieces.
+        A range may be covered by several mapped pieces: ``_map`` merges
+        a range only into the piece it extends.
         """
         remaining = [rng]
         for mapped in self.mapped:

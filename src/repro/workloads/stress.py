@@ -94,9 +94,10 @@ class MemoryStress:
         alloc = self.kernel.map_anonymous(want, tag=self.tag)
         self.kernel.buddy.register_reclaimable(alloc)
         self.allocs.append(alloc)
-        memory = self.kernel.board.memory
-        for frame in alloc.frames:
-            memory._raw_write(self.kernel.db.frame_addr(frame), self._pattern(frame))
+        frames = alloc.frames
+        self.kernel.board.memory._raw_write_many(
+            map(self.kernel.db.frame_addr, frames), map(self._pattern, frames)
+        )
 
     def _pattern(self, frame: int) -> bytes:
         return (b"S%07d" % (frame % 10_000_000)) * (_PATTERN_STRIDE // 8)

@@ -101,6 +101,19 @@ def test_no_eligible_device_sheds():
     assert fleet.router.shed_reasons == {"no-eligible-device": 1}
 
 
+def test_shed_tickets_take_their_own_ids():
+    # The tail sampler keys traces and flows by ticket id, so a shed
+    # ticket must not share its id with the next admitted one.
+    fleet = _fleet(1)
+    first = fleet.route(_request(session="t/s1"))
+    with pytest.raises(FleetSaturated) as shed:
+        fleet.route(replace_model(_request(session="t/s2"), "missing-model"))
+    second = fleet.route(_request(session="t/s3"))
+    ids = [first.ticket_id, shed.value.ticket.ticket_id, second.ticket_id]
+    assert len(set(ids)) == 3
+    assert [t.ticket_id for t in fleet.router.tickets] == [ids[0], ids[2]]
+
+
 def test_breaker_open_rebalances_pinned_sessions():
     fleet = _fleet(2, policy="session-affinity")
     first = fleet.route(_request(session="t/s1"))

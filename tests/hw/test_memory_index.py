@@ -1,0 +1,167 @@
+"""Differential test of PhysicalMemory's materialized-page index.
+
+A small PhysicalMemory and a flat bytearray take the same random
+operations — raw, bulk and CPU writes, scrubs and disjoint copies, with
+ranges that cross page and 1 MiB boundaries or were never written.  The
+bytes must agree everywhere afterwards, the index must list exactly the
+materialized pages in ascending order, and the TZASC-filtered entry
+points must still refuse the non-secure world.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import MiB, PAGE_SIZE
+from repro.errors import AccessDenied, ConfigurationError, DMAViolation
+from repro.hw import PhysicalMemory, World
+
+S = World.SECURE
+N = World.NONSECURE
+PG = PAGE_SIZE
+TOTAL = 4 * MiB
+#: one secure window straddling the first 1 MiB boundary.
+SECURE_BASE, SECURE_SIZE = MiB - 2 * PG, 4 * PG
+
+BOUNDARIES = [PG, 5 * PG, MiB - PG, MiB, MiB + PG, 2 * MiB, 3 * MiB - PG, 3 * MiB]
+address = st.one_of(
+    st.integers(min_value=0, max_value=TOTAL - 1),
+    st.builds(lambda b, off: b + off, st.sampled_from(BOUNDARIES), st.integers(-96, 96)),
+)
+blob = st.binary(max_size=160)
+world = st.sampled_from([S, N])
+operation = st.one_of(
+    st.tuples(st.just("raw_write"), address, blob),
+    st.tuples(st.just("write_many"), st.lists(st.tuples(address, blob), max_size=8)),
+    st.tuples(st.just("cpu_write"), address, blob, world),
+    st.tuples(st.just("scrub"), address, st.integers(0, MiB + 3 * PG), world),
+    st.tuples(st.just("copy"), address, address, st.integers(0, MiB + 3 * PG)),
+)
+
+
+def new_memory():
+    mem = PhysicalMemory(TOTAL)
+    mem.tzasc.configure(S, 0, SECURE_BASE, SECURE_SIZE)
+    return mem
+
+
+def denied(base, size, who):
+    return (
+        who is N and size > 0 and base < SECURE_BASE + SECURE_SIZE and SECURE_BASE < base + size
+    )
+
+
+def apply(mem, ref, op):
+    """Apply ``op`` to the memory and, as it should act, to ``ref``."""
+    kind = op[0]
+    if kind == "raw_write":
+        _, base, data = op
+        if base + len(data) > TOTAL:
+            with pytest.raises(ConfigurationError):
+                mem._raw_write(base, data)
+        else:
+            mem._raw_write(base, data)
+            ref[base : base + len(data)] = data
+    elif kind == "write_many":
+        _, pairs = op
+        fits = [base + len(data) <= TOTAL for base, data in pairs]
+        written = pairs if all(fits) else pairs[: fits.index(False)]
+        if all(fits):
+            mem._raw_write_many((b for b, _ in pairs), (d for _, d in pairs))
+        else:
+            with pytest.raises(ConfigurationError):
+                mem._raw_write_many((b for b, _ in pairs), (d for _, d in pairs))
+        for base, data in written:  # blobs before a rejected one stay written
+            ref[base : base + len(data)] = data
+    elif kind == "cpu_write":
+        _, base, data, who = op
+        if denied(base, len(data), who):
+            with pytest.raises(AccessDenied):
+                mem.cpu_write(base, data, who)
+        elif base + len(data) > TOTAL:
+            with pytest.raises(ConfigurationError):
+                mem.cpu_write(base, data, who)
+        else:
+            mem.cpu_write(base, data, who)
+            ref[base : base + len(data)] = data
+    elif kind == "scrub":
+        _, base, size, who = op
+        if denied(base, size, who):
+            with pytest.raises(AccessDenied):
+                mem.scrub(base, size, who)
+        else:
+            mem.scrub(base, size, who)
+            end = min(base + size, TOTAL)
+            ref[base:end] = bytes(max(0, end - base))
+    else:
+        _, src, dst, size = op
+        if src < dst + size and dst < src + size:
+            return  # copy_range moves between disjoint ranges only
+        if max(src, dst) + size > TOTAL:
+            with pytest.raises(ConfigurationError):
+                mem.copy_range(src, dst, size)
+        else:
+            mem.copy_range(src, dst, size)
+            ref[dst : dst + size] = ref[src : src + size]
+
+
+@given(ops=st.lists(operation, min_size=1, max_size=30))
+@settings(max_examples=120, deadline=None)
+def test_indexed_memory_matches_a_flat_reference(ops):
+    mem = new_memory()
+    ref = bytearray(TOTAL)
+    for op in ops:
+        apply(mem, ref, op)
+    assert mem._raw_read(0, TOTAL) == bytes(ref)
+    assert mem._materialized == sorted(mem._pages)
+
+
+def test_scrub_then_rewrite_and_copy_across_chunk_boundaries():
+    mem = new_memory()
+    ref = bytearray(TOTAL)
+    pattern = bytes(range(1, 256)) * 20  # 5,100 bytes: spans two pages
+    for op in [
+        ("raw_write", 2 * MiB - 100, pattern),
+        ("write_many", [(MiB - 70, b"x" * 140), (3 * MiB + 8, b"y" * 64)]),
+        ("scrub", 2 * MiB - PG, 2 * PG, S),  # zero part of materialized pages
+        ("raw_write", 2 * MiB - 10, b"again"),  # written again after zeroing
+        ("copy", 2 * MiB - 2 * PG, 3 * MiB - PG - 7, 3 * PG),  # misaligned copy
+        ("copy", 0, 3 * MiB, MiB),  # never-written source zeroes the destination
+    ]:
+        apply(mem, ref, op)
+    assert mem._raw_read(0, TOTAL) == bytes(ref)
+    assert mem._materialized == sorted(mem._pages)
+
+
+def test_bulk_write_checks_bounds_and_skips_empty_blobs():
+    mem = new_memory()
+    mem._raw_write_many([TOTAL, 0], [b"", b""])  # empty blobs write nothing
+    assert mem._materialized == []
+    with pytest.raises(ConfigurationError):
+        mem._raw_write_many([0, TOTAL - 2, 2 * PG], [b"ok", b"abc", b"never"])
+    assert mem._raw_read(0, 2) == b"ok"
+    assert mem._raw_read(2 * PG, 5) == bytes(5)
+    assert mem._materialized == [0]
+
+
+@given(ops=st.lists(operation, max_size=12))
+@settings(max_examples=25, deadline=None)
+def test_tzasc_filtered_entry_points_still_refuse_the_normal_world(ops):
+    mem = new_memory()
+    ref = bytearray(TOTAL)
+    mem.cpu_write(SECURE_BASE + PG - 3, b"weights", S)
+    ref[SECURE_BASE + PG - 3 : SECURE_BASE + PG + 4] = b"weights"
+    for op in ops:
+        apply(mem, ref, op)
+    inside = SECURE_BASE + PG - 3
+    with pytest.raises(AccessDenied):
+        mem.cpu_read(inside, 7, N)
+    with pytest.raises(AccessDenied):
+        mem.cpu_write(inside, b"tamper", N)
+    with pytest.raises(AccessDenied):
+        mem.scrub(SECURE_BASE - PG, 2 * PG, N)
+    with pytest.raises(DMAViolation):
+        mem.dma_read(inside, 7, "npu")
+    with pytest.raises(DMAViolation):
+        mem.dma_write(inside, b"evil", "rogue-device")
+    assert mem.cpu_read(inside, 7, S) == bytes(ref[inside : inside + 7])

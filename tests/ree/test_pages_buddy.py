@@ -1,5 +1,8 @@
 """Unit tests for the frame database and buddy allocator."""
 
+import heapq
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,3 +263,164 @@ def test_reclaim_outside_matches_eager_victim_selection(cma_start, cma_size, pla
         assert buddy.reclaimed_frames - before == freed
         # Fully drained allocations leave the list; the rest keep their order.
         assert list(buddy._reclaimable.values()) == [a for a in live if not a.freed]
+
+
+def test_run_claim_rejects_a_taken_frame_and_changes_nothing():
+    db = make_db(64)
+    db.claim([20, 25], movable=False, tag="a")
+    before = [db.owner(f) for f in range(64)]
+    with pytest.raises(MemoryError_, match="frame 20 is not free"):
+        db.claim(list(range(10, 30)) + [40, 41], movable=True, tag="b")
+    # The error names the first taken frame in the caller's order.
+    with pytest.raises(MemoryError_, match="frame 25 is not free"):
+        db.claim([30, 29, 25, 20], movable=True, tag="c")
+    assert [db.owner(f) for f in range(64)] == before
+
+
+def test_run_release_rejects_a_frame_owned_by_another_allocation():
+    db = make_db(64)
+    a = db.claim(range(0, 10), movable=True, tag="a")
+    b = db.claim(range(10, 20), movable=True, tag="b")
+    a.frames.add(12)  # bookkeeping gone wrong: a lists one of b's frames
+    with pytest.raises(MemoryError_, match="frame 12 not owned by allocation %d" % a.alloc_id):
+        db.release(a)
+    assert not a.freed
+    assert db.owner(3) is a and db.owner(12) is b
+    assert db.state(3) is FrameState.MOVABLE and db.free_frames == 44
+
+
+class HeapPoolBuddy(BuddyAllocator):
+    """Reference: the allocator with its outside pool as a binary heap,
+    popped and pushed one frame at a time, lowest frame first."""
+
+    def finalize(self):
+        super().finalize()
+        heapq.heapify(self._free_outside)
+
+    def allocate(self, n_frames, movable, tag=""):
+        if n_frames <= 0:
+            raise OutOfMemory("allocation of %d frames" % n_frames)
+        available = self.free_outside_cma + (self.free_inside_cma if movable else 0)
+        if n_frames > available:
+            self.reclaim_outside(n_frames - available)
+            available = self.free_outside_cma + (self.free_inside_cma if movable else 0)
+        if n_frames > available:
+            raise OutOfMemory("%d frames requested, %d available" % (n_frames, available))
+        frames = []
+        from_cma = 0
+        if movable and self._cma_regions:
+            outside = len(self._free_outside)
+            inside = self.free_inside_cma
+            if outside - n_frames >= inside:
+                from_cma = 0
+            elif inside - n_frames >= outside:
+                from_cma = min(n_frames, inside)
+            else:
+                balanced = (n_frames - outside + inside + 1) // 2
+                from_cma = min(n_frames, inside, max(0, balanced))
+        from_outside = min(n_frames - from_cma, len(self._free_outside))
+        for _ in range(from_outside):
+            frames.append(heapq.heappop(self._free_outside))
+        remaining = n_frames - len(frames)
+        for region in sorted(self._cma_regions, key=lambda r: -r.free_frames):
+            if remaining == 0:
+                break
+            spilled = region.spill_frames(min(remaining, region.free_frames))
+            frames.extend(spilled)
+            remaining -= len(spilled)
+        return self.db.claim(frames, movable=movable, tag=tag)
+
+    def take_frame_outside(self):
+        if not self._free_outside:
+            self.reclaim_outside(1)
+        if not self._free_outside:
+            raise OutOfMemory("no free frames outside CMA for migration")
+        return heapq.heappop(self._free_outside)
+
+    def return_frames(self, frames):
+        for frame in frames:
+            for region in self._cma_regions:
+                if region.start_frame <= frame < region.end_frame:
+                    region.return_frames([frame])
+                    break
+            else:
+                heapq.heappush(self._free_outside, frame)
+
+    def _return_outside(self, frames):
+        for frame in frames:
+            heapq.heappush(self._free_outside, frame)
+
+
+def pool_system(cls):
+    """96 frames with two CMA regions, the claims the database saw, and
+    the allocator."""
+    db = make_db(96)
+    buddy = cls(db)
+    regions = [
+        CMARegion(Simulator(), db, buddy, None, 72, 24, MemorySpec(), name="params"),
+        CMARegion(Simulator(), db, buddy, None, 60, 12, MemorySpec(), name="data"),
+    ]
+    buddy.finalize()
+    claims = []
+    claim = db.claim
+
+    def recording_claim(frames, *args, **kwargs):
+        frames = list(frames)
+        claims.append(frames)
+        return claim(frames, *args, **kwargs)
+
+    db.claim = recording_claim
+    return buddy, regions, claims
+
+
+def outcome(call):
+    try:
+        return call()
+    except OutOfMemory:
+        return "oom"
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_sorted_pool_matches_the_heap_pool_frame_for_frame(seed):
+    rng = random.Random(seed)
+    ref, ref_regions, ref_claims = pool_system(HeapPoolBuddy)
+    new, new_regions, new_claims = pool_system(BuddyAllocator)
+    ref_live, new_live, taken = [], [], []
+    for _ in range(200):
+        op = rng.choice(["alloc", "alloc", "free", "reclaim", "take", "return"])
+        if op == "alloc":
+            n, movable = rng.randint(1, 24), rng.random() < 0.7
+            expected = outcome(lambda: ref.allocate(n, movable))
+            got = outcome(lambda: new.allocate(n, movable))
+            assert (expected == "oom") == (got == "oom")
+            if got != "oom":
+                assert list(got.frames) == list(expected.frames)
+                ref_live.append(expected)
+                new_live.append(got)
+                if rng.random() < 0.5:
+                    ref.register_reclaimable(expected)
+                    new.register_reclaimable(got)
+        elif op == "free":
+            live = [i for i, alloc in enumerate(new_live) if not alloc.freed]
+            if live:
+                index = rng.choice(live)
+                ref.free(ref_live[index])
+                new.free(new_live[index])
+        elif op == "reclaim":
+            n = rng.randint(0, 10)
+            assert new.reclaim_outside(n) == ref.reclaim_outside(n)
+        elif op == "take":
+            frame = outcome(new.take_frame_outside)
+            assert frame == outcome(ref.take_frame_outside)
+            if frame != "oom":
+                taken.append(frame)
+        elif taken:
+            back = rng.sample(taken, rng.randint(1, len(taken)))
+            taken = [f for f in taken if f not in back]
+            ref.return_frames(back)
+            new.return_frames(back)
+        assert new._free_outside == sorted(ref._free_outside)
+        assert [r._free for r in new_regions] == [r._free for r in ref_regions]
+        assert [list(a.frames) for a in new_live] == [list(a.frames) for a in ref_live]
+        assert new.db._owner == ref.db._owner
+    assert new_claims == ref_claims

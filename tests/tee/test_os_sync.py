@@ -66,6 +66,20 @@ def test_unmap_splits_mappings(stack):
         stack.tee_os.unmap_from_ta(ta, AddrRange(32 * MiB, MiB))
 
 
+def test_adjacent_mappings_merge_and_unmap_still_splits(stack):
+    ta = TrustedApplication("llm")
+    stack.tee_os.install_ta(ta)
+    for i in range(4):  # four successive extends of one region
+        stack.tee_os.map_into_ta(ta, AddrRange(i * MiB, MiB))
+    assert ta.mapped == [AddrRange(0, 4 * MiB)]
+    stack.tee_os.unmap_from_ta(ta, AddrRange(3 * MiB, MiB))  # shrink from the end
+    stack.tee_os.unmap_from_ta(ta, AddrRange(MiB, MiB))  # and open a hole
+    assert ta.mapped == [AddrRange(0, MiB), AddrRange(2 * MiB, MiB)]
+    stack.tee_os.map_into_ta(ta, AddrRange(MiB, MiB))  # refill the hole
+    assert ta.can_access(AddrRange(0, 3 * MiB))
+    assert not ta.can_access(AddrRange(0, 3 * MiB + 1))
+
+
 def test_model_key_acl(stack):
     llm = TrustedApplication("llm")
     rogue = TrustedApplication("rogue")
