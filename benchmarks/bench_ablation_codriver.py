@@ -4,7 +4,8 @@ The rejected design re-initializes a full driver on every world hand-off
 (32 ms measured on the Rockchip stack); the co-driver switches with a few
 SMCs and TrustZone register writes.  Decode issues one secure job per
 matmul, so the difference compounds: this bench decodes with both
-mechanisms and reports tokens/s plus the per-switch cost.
+mechanisms and reports tokens/s plus the per-switch cost, and the
+simulator events each decoded token costs the host.
 """
 
 import pytest
@@ -34,12 +35,15 @@ def run_codriver_ablation():
             )
             warm(system)
             system.run_infer(64, 0)  # fill the cache
+            steps = system.sim.steps
             record = system.run_infer(DECODE_PROMPT, DECODE_TOKENS)
+            events = system.sim.steps - steps
             switches = system.stack.tee_npu.world_switches
             switch_time = system.stack.tee_npu.world_switch_time
             results[(model.model_id, mechanism)] = (
                 record.decode_tokens_per_second,
                 switch_time / max(1, switches),
+                events / len(record.decode.token_ids),
             )
     return results
 
@@ -63,8 +67,8 @@ def test_ablation_codriver_vs_detach_attach(benchmark):
         rows, title="§4.3 ablation: NPU world-switch mechanism during decode"))
 
     for model in models:
-        co_tps, co_switch = results[(model.model_id, "co-driver")]
-        da_tps, da_switch = results[(model.model_id, "detach-attach")]
+        co_tps, co_switch, _events = results[(model.model_id, "co-driver")]
+        da_tps, da_switch, _events = results[(model.model_id, "detach-attach")]
         # The co-driver switch is microseconds; re-init is the 32 ms class.
         assert co_switch < 1e-3
         assert da_switch > 30e-3
@@ -89,8 +93,9 @@ def test_ablation_codriver_vs_detach_attach(benchmark):
                 "%s/%s" % (m, mech): {
                     "tokens_per_second": tps,
                     "switch_time_s": switch,
+                    "sim_events_per_token": events,
                 }
-                for (m, mech), (tps, switch) in sorted(results.items())
+                for (m, mech), (tps, switch, events) in sorted(results.items())
             },
         },
     )

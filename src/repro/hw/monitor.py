@@ -62,7 +62,8 @@ class SecureMonitor:
                 func=func
             )
         start = self.sim.now
-        yield self.sim.timeout(self.smc_latency)
+        if not self.sim.advance(self.smc_latency):
+            yield self.sim.timeout(self.smc_latency)
         result = handler(*args, **kwargs)
         if isgenerator(result):
             result = yield self.sim.process(result, name="smc:%s" % func)

@@ -120,10 +120,13 @@ class NPU:
         job.job_id = next(self._job_ids)
         job.launched_at = self.sim.now
         self._current = job
-        self.sim.process(self._execute(job), name="npu-job-%d" % job.job_id)
+        self.sim.timeout(0.0, job).add_callback(self._start)
         return job
 
-    def _execute(self, job: NPUJob):
+    def _start(self, event: Event) -> None:
+        """The job's start event: input DMA, then its run time as a
+        step in place, or as a timeout when something is queued first."""
+        job = event.value
         input_data = b""
         try:
             # Command fetch, page-table walk, and input reads happen up
@@ -137,7 +140,16 @@ class NPU:
             input_data = b"".join(chunks)
         except DMAViolation as exc:
             job.faulted = "input:%s" % exc
-        yield self.sim.timeout(self.spec.job_launch_latency + max(0.0, job.duration))
+        run_time = self.spec.job_launch_latency + max(0.0, job.duration)
+        if self.sim.advance(run_time):
+            self._finish(job, input_data)
+        else:
+            self.sim.timeout(run_time).add_callback(
+                lambda _event: self._finish(job, input_data)
+            )
+
+    def _finish(self, job: NPUJob, input_data: bytes) -> None:
+        """Output DMA, idle waiters, then the completion IRQ."""
         self.busy_time += job.duration
         if job.faulted is None:
             try:

@@ -15,7 +15,6 @@ compromised kernel; the TEE driver's checks must stop all of them.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Deque, Dict, Optional, Union
 
@@ -30,12 +29,11 @@ __all__ = ["ShadowJob", "REENPUDriver"]
 class ShadowJob:
     """Scheduling placeholder for a secure job (empty execution context)."""
 
-    __slots__ = ("shadow_id", "seq", "completion")
+    __slots__ = ("shadow_id", "seq")
 
-    def __init__(self, shadow_id: int, seq: int, completion: Event):
+    def __init__(self, shadow_id: int, seq: int):
         self.shadow_id = shadow_id
         self.seq = seq
-        self.completion = completion
 
 
 class REENPUDriver:
@@ -78,7 +76,6 @@ class REENPUDriver:
         self.recorder = None
         self._last_activity = sim.now
         self._activity: Optional[Event] = None
-        self._shadow_ids = itertools.count(1)
         board.gic.attach_handler(World.NONSECURE, self.npu.irq, self._on_irq)
         self.monitor.register("ree.npu_submit_shadow", self._handle_submit_shadow)
         sim.process(self._scheduler(), name="ree-npu-scheduler")
@@ -99,9 +96,7 @@ class REENPUDriver:
 
     def _handle_submit_shadow(self, shadow_id: int, seq: int) -> int:
         """SMC from the TEE driver: enqueue a shadow job."""
-        completion = self.sim.event()
-        shadow = ShadowJob(shadow_id, seq, completion)
-        self._queue.append(shadow)
+        self._queue.append(ShadowJob(shadow_id, seq))
         self._kick()
         return shadow_id
 
@@ -192,8 +187,6 @@ class REENPUDriver:
             # softirq).  The secure job never launches; the TEE watchdog
             # detects the missing completion and re-issues the shadow.
             self.shadow_jobs_dropped += 1
-            if not shadow.completion.triggered:
-                shadow.completion.succeed(None)
             return
         self.shadow_jobs_forwarded += 1
         t0 = self.sim.now
@@ -207,7 +200,6 @@ class REENPUDriver:
                 "ree_npu_handoff_seconds_total",
                 "Wall time the REE scheduler spent inside take-over SMCs",
             ).inc(elapsed)
-        shadow.completion.succeed(shadow.shadow_id)
 
     def _on_irq(self, irq: int, job: NPUJob) -> None:
         if self._running_done is not None and not self._running_done.triggered:

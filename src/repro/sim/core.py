@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -403,6 +404,12 @@ class Simulator:
         #: opt-in process-activity ledger (see :class:`ProcessLedger`);
         #: ``None`` keeps process stepping on the fast path.
         self.ledger: Optional[ProcessLedger] = None
+        #: what :meth:`advance` checks: whether the event being dispatched
+        #: has a sole callback, the event :meth:`run_until` waits for, and
+        #: the ``until`` of :meth:`run`.
+        self._in_place = False
+        self._awaited: Optional[Event] = None
+        self._horizon = math.inf
 
     # ------------------------------------------------------------------
     # public API
@@ -421,6 +428,32 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def advance(self, delay: float) -> bool:
+        """Take a ``delay`` step in place when no event could come between.
+
+        Returns True after moving ``now`` to ``now + delay``, or False
+        with nothing changed; the caller then yields ``timeout(delay)``.
+        True needs all of: the running code is the sole callback of the
+        event being dispatched, that event is not the one
+        :meth:`run_until` waits for, the step ends within
+        ``run(until=...)``, and every queued event lies strictly later
+        than ``now + delay``.  The timeout would then be the very next
+        event dispatched, so every later action keeps its instant and
+        its order; a same-instant tie always takes the queue.  Call it
+        only where the caller's continuation is all that runs before
+        control returns to the event loop: a process body, or a plain
+        callback's last act.
+        """
+        if delay < 0:
+            raise SimulationError("negative timeout delay: %r" % (delay,))
+        if not self._in_place:
+            return False
+        when = self._now + delay
+        if when > self._horizon or (self._queue and self._queue[0][0] <= when):
+            return False
+        self._now = when
+        return True
 
     def timeout_at(self, when: float, value: Any = None) -> Event:
         """An event that triggers at the absolute instant ``when``.
@@ -474,28 +507,37 @@ class Simulator:
         model code; exceeding it raises :class:`SimulationError`.
         """
         steps = 0
-        while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            self._dispatch()
-            steps += 1
-            if steps > max_steps:
-                raise SimulationError("exceeded max_steps=%d" % max_steps)
+        self._horizon = math.inf if until is None else until
+        try:
+            while self._queue:
+                if self._queue[0][0] > self._horizon:
+                    self._now = until
+                    return
+                self._dispatch()
+                steps += 1
+                if steps > max_steps:
+                    raise SimulationError("exceeded max_steps=%d" % max_steps)
+        finally:
+            self._horizon = math.inf
+            self._in_place = False
         if until is not None and until > self._now:
             self._now = until
 
     def run_until(self, event: Event, max_steps: int = 50_000_000) -> Any:
         """Run until ``event`` has been processed; return its value."""
         steps = 0
-        while not event.processed:
-            if not self._queue:
-                raise SimulationError("deadlock: event queue empty but %r pending" % event)
-            self._dispatch()
-            steps += 1
-            if steps > max_steps:
-                raise SimulationError("exceeded max_steps=%d" % max_steps)
+        self._awaited = event
+        try:
+            while not event.processed:
+                if not self._queue:
+                    raise SimulationError("deadlock: event queue empty but %r pending" % event)
+                self._dispatch()
+                steps += 1
+                if steps > max_steps:
+                    raise SimulationError("exceeded max_steps=%d" % max_steps)
+        finally:
+            self._awaited = None
+            self._in_place = False
         return event.value
 
     # ------------------------------------------------------------------
@@ -519,6 +561,9 @@ class Simulator:
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
             return  # already processed (e.g. cancelled timeout)
+        # Stays set until the next dispatch: only the event loop runs
+        # between two, and run/run_until clear it when they return.
+        self._in_place = len(callbacks) == 1 and event is not self._awaited
         for callback in callbacks:
             callback(event)
         if event._exception is not None and isinstance(event, Process):

@@ -303,32 +303,40 @@ class TEENPUDriver:
     # secure-mode switching (ordering is the security argument)
     # ------------------------------------------------------------------
     def _enter_secure_mode(self):
+        # Each step keeps its own instant; sim.advance takes it in place
+        # when nothing is queued at or before its end.
         sim = self.sim
         tz = self.board.spec.trustzone
         start = sim.now
-        if self.reinit_on_switch:
+        if self.reinit_on_switch and not sim.advance(self.npu.spec.driver_reinit_time):
             yield sim.timeout(self.npu.spec.driver_reinit_time)
         # (1) Close the NPU's MMIO to the REE and reroute its interrupt:
         # no *new* non-secure job can be launched from here on.
         self.board.tzpc.set_secure(World.SECURE, self.npu.name, True)
-        yield sim.timeout(tz.tzpc_config_time)
+        if not sim.advance(tz.tzpc_config_time):
+            yield sim.timeout(tz.tzpc_config_time)
         self.board.gic.set_group(World.SECURE, self.npu.irq, World.SECURE)
-        yield sim.timeout(tz.gic_config_time)
+        if not sim.advance(tz.gic_config_time):
+            yield sim.timeout(tz.gic_config_time)
         if self.unsafe_skip_wait_idle:
             # WRONG ORDER (attack demo): grant the NPU access to secure
             # memory while a previously-launched non-secure job may still
             # be in flight — its DMA will land in secure memory.
             for slot in self.allowed_slots:
                 self.board.tzasc.allow_device(World.SECURE, slot, self.npu.name)
-            yield sim.timeout(tz.tzasc_config_time)
-            yield self.npu.wait_idle()
+            if not sim.advance(tz.tzasc_config_time):
+                yield sim.timeout(tz.tzasc_config_time)
+            if self.npu.busy or not sim.advance(0.0):
+                yield self.npu.wait_idle()
         else:
             # (2) Drain any job the REE launched before we closed the door.
-            yield self.npu.wait_idle()
+            if self.npu.busy or not sim.advance(0.0):
+                yield self.npu.wait_idle()
             # (3) Only now open the job-context regions to the NPU.
             for slot in self.allowed_slots:
                 self.board.tzasc.allow_device(World.SECURE, slot, self.npu.name)
-            yield sim.timeout(tz.tzasc_config_time)
+            if not sim.advance(tz.tzasc_config_time):
+                yield sim.timeout(tz.tzasc_config_time)
         elapsed = sim.now - start
         self.world_switch_time += elapsed
         self.world_switches += 1
@@ -340,12 +348,15 @@ class TEENPUDriver:
         start = sim.now
         for slot in self.allowed_slots:
             self.board.tzasc.revoke_device(World.SECURE, slot, self.npu.name)
-        yield sim.timeout(tz.tzasc_config_time)
+        if not sim.advance(tz.tzasc_config_time):
+            yield sim.timeout(tz.tzasc_config_time)
         self.board.gic.set_group(World.SECURE, self.npu.irq, World.NONSECURE)
-        yield sim.timeout(tz.gic_config_time)
+        if not sim.advance(tz.gic_config_time):
+            yield sim.timeout(tz.gic_config_time)
         self.board.tzpc.set_secure(World.SECURE, self.npu.name, False)
-        yield sim.timeout(tz.tzpc_config_time)
-        if self.reinit_on_switch:
+        if not sim.advance(tz.tzpc_config_time):
+            yield sim.timeout(tz.tzpc_config_time)
+        if self.reinit_on_switch and not sim.advance(self.npu.spec.driver_reinit_time):
             yield sim.timeout(self.npu.spec.driver_reinit_time)
         elapsed = sim.now - start
         self.world_switch_time += elapsed

@@ -1,5 +1,7 @@
 """Chaos: the split NPU driver under dropped hand-offs, stalls and hangs."""
 
+import random
+
 import pytest
 
 from repro.errors import IagoViolation
@@ -95,3 +97,37 @@ def test_replay_attack_still_detected_under_chaos(hardened_system):
 
     with pytest.raises(IagoViolation, match="unknown"):
         sim.run_until(sim.process(forge()))
+
+
+def test_in_place_steps_match_per_step_stepping_under_chaos(
+    seed, codriver_mix, per_step_stepping, advance_tally
+):
+    """A seeded co-driver mix under every NPU fault site observes exactly
+    what per-step stepping observes (see tests/integration/
+    test_codriver_stepping.py), and reaches both sides of advance."""
+    rng = random.Random(seed)
+    items = [
+        (
+            rng.choice(["watched", "watched", "ree"]),
+            rng.uniform(0.0, 4e-3),
+            rng.choice([0.0, 0.0, rng.uniform(0.0, 3e-3), 0.125]),
+        )
+        for _ in range(24)
+    ]
+    mix = {
+        "items": items,
+        "contender": (rng.uniform(0.0, 0.01), 0.04),
+        "faults": [
+            FaultSpec("ree.npu_stall", probability=0.2, delay=1e-3, jitter=2e-3),
+            FaultSpec("ree.smc_drop", probability=0.1, max_fires=4),
+            FaultSpec("tee.job_hang", probability=0.2, delay=1e-3, jitter=2e-3),
+        ],
+        "fault_seed": seed,
+        "cuts": sorted(rng.uniform(0.0, 0.2) for _ in range(3)),
+    }
+    with advance_tally() as tally:
+        shipped = codriver_mix(**mix)
+    with per_step_stepping():
+        reference = codriver_mix(**mix)
+    assert shipped == reference
+    assert tally[True] > 0 and tally[False] > 0

@@ -1,11 +1,13 @@
-"""Seeded real-stack differential: CPU runs vs per-operator stepping.
+"""Seeded real-stack differential: CPU runs and in-place co-driver
+steps vs per-operator and per-step stepping.
 
-Each case runs twice on a fresh system: once as shipped, and once with
-the per-operator reference loop (``per_op_reference``, see
-``tests/conftest.py``) patched onto ``GraphExecutor.execute``.  Every
-request-visible number must be identical: TTFT, first-token instants,
-per-token step times and attribution, token ids, and the full metrics
-export.
+Each case runs three times on a fresh system: once as shipped, once
+with the per-operator reference loop (``per_op_reference``, see
+``tests/conftest.py``) patched onto ``GraphExecutor.execute``, and once
+with ``Simulator.advance`` refusing every step (``per_step_stepping``).
+Every request-visible number must be identical: TTFT, first-token
+instants, per-token step times and attribution, token ids, and the full
+metrics export.
 """
 
 import pytest
@@ -120,17 +122,25 @@ def streaming_decode_run():
 
 
 @pytest.mark.parametrize("case", [batched_gateway_run, streaming_decode_run])
-def test_real_stack_matches_per_op_stepping(case, per_op_reference, monkeypatch):
-    rows, render, end, coverage = case()
+def test_real_stack_matches_per_op_stepping(
+    case, per_op_reference, per_step_stepping, advance_tally, monkeypatch
+):
+    with advance_tally() as tally:
+        shipped = case()
     with monkeypatch.context() as patch:
         patch.setattr(GraphExecutor, "execute", per_op_reference)
-        ref_rows, ref_render, ref_end, ref_coverage = case()
-    assert rows == ref_rows
-    assert render == ref_render
-    assert end == ref_end
-    assert coverage == ref_coverage
+        per_op = case()
+    with per_step_stepping():
+        per_step = case()
+    rows, render, end, coverage = shipped
+    for ref_rows, ref_render, ref_end, ref_coverage in (per_op, per_step):
+        assert rows == ref_rows
+        assert render == ref_render
+        assert end == ref_end
+        assert coverage == ref_coverage
     # The cases must exercise what they claim to.
     assert rows
+    assert tally[True] > 0
     if case is batched_gateway_run:
         assert coverage["resumes"] > 0 and coverage["hit_tokens"] > 0
         assert all(row[0] == "done" for row in rows)

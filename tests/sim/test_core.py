@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import Interrupt, ProcessLedger, SimulationError, Simulator
 
 
 def test_timeout_advances_clock():
@@ -339,3 +339,134 @@ def test_reschedule_moves_a_pending_timeout_earlier():
     assert sim.now == 3.0
     with pytest.raises(SimulationError, match="not pending"):
         sim.reschedule(wake, 4.0)
+
+
+# ----------------------------------------------------------------------
+# advance: a fixed-latency step in place
+# ----------------------------------------------------------------------
+def step_at(sim, start, delay, log):
+    """A callback at ``start`` that tries ``advance(delay)``, logging
+    the answer and the clock after it."""
+    sim.timeout_at(start).add_callback(lambda event: log.append((sim.advance(delay), sim.now)))
+
+
+def test_advance_refuses_a_queue_head_at_its_end():
+    sim = Simulator()
+    log = []
+    step_at(sim, 0.5, 0.25, log)
+    sim.timeout_at(0.75)
+    sim.run()
+    # The timeout would tie with the queued event, and ties take the queue.
+    assert log == [(False, 0.5)]
+
+
+def test_advance_with_a_later_queue_head_is_bit_exact():
+    sim = Simulator()
+    log = []
+    step_at(sim, 0.1, 0.2, log)
+    sim.timeout_at(0.5)
+    sim.run()
+    # Exactly where timeout(0.2) from 0.1 would have landed.
+    assert 0.1 + 0.2 != 0.3
+    assert log == [(True, 0.1 + 0.2)]
+    assert sim.now == 0.5
+
+
+def test_advance_refuses_a_step_past_run_until():
+    sim = Simulator()
+    log = []
+    step_at(sim, 0.5, 0.1, log)
+    step_at(sim, 0.5, 0.05, log)
+    sim.run(until=0.58)
+    assert log == [(False, 0.5), (True, 0.55)]
+    assert sim.now == 0.58
+    # The bound goes with the run.
+    step_at(sim, 0.6, 0.1, log)
+    sim.run()
+    assert log[-1] == (True, 0.7)
+
+
+def test_advance_refuses_a_second_callback_on_the_dispatched_event():
+    sim = Simulator()
+    log = []
+    shared = sim.timeout(0.5)
+    shared.add_callback(lambda event: log.append((sim.advance(0.1), sim.now)))
+    shared.add_callback(lambda event: log.append(("second", sim.now)))
+    step_at(sim, 1.0, 0.1, log)
+    sim.run()
+    assert log == [(False, 0.5), ("second", 0.5), (True, 1.1)]
+
+
+def test_advance_refuses_the_dispatch_of_run_until_s_event():
+    sim = Simulator()
+    log = []
+    awaited = sim.timeout(0.5)
+    awaited.add_callback(lambda event: log.append((sim.advance(0.1), sim.now)))
+    sim.run_until(awaited)
+    assert log == [(False, 0.5)]
+    assert sim.now == 0.5
+    # Waiting for a later event, the same step runs in place.
+    step_at(sim, 1.0, 0.1, log)
+    sim.run_until(sim.timeout(2.0))
+    assert log[-1] == (True, 1.1)
+
+
+def test_advance_rejects_a_negative_delay_as_timeout_does():
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="negative"):
+        sim.advance(-1e-9)
+    errors = []
+
+    def body():
+        try:
+            sim.advance(-1.0)
+        except SimulationError as exc:
+            errors.append(str(exc))
+        yield sim.timeout(0)
+
+    sim.run_until(sim.process(body()))
+    assert errors and "negative" in errors[0]
+
+
+def test_advance_state_is_reset_on_every_exit_path():
+    sim = Simulator()
+    # Outside any dispatch there is no caller to continue in place.
+    assert sim.advance(0.0) is False
+
+    def boom(event):
+        raise RuntimeError("callback failed")
+
+    sim.timeout(0.1).add_callback(boom)
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.advance(0.0) is False
+    # run(until=...) leaving early, and run_until failing, clear their marks.
+    log = []
+    awaited = sim.event()
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run_until(awaited)
+    sim.timeout(1.0)
+    sim.run(until=0.5)
+    step_at(sim, 0.6, 0.2, log)
+    awaited.add_callback(lambda event: log.append((sim.advance(0.05), sim.now)))
+    awaited.succeed()
+    sim.run()
+    assert log == [(True, 0.5 + 0.05), (True, 0.6 + 0.2)]
+
+
+def test_advance_from_a_plain_callback_counts_no_resume():
+    sim = Simulator()
+    sim.ledger = ProcessLedger()
+    log = []
+    step_at(sim, 0.5, 0.25, log)
+
+    def body():
+        yield sim.timeout(1.0)
+        log.append((sim.advance(0.5), sim.now))
+
+    sim.process(body(), name="body")
+    sim.run()
+    assert log == [(True, 0.75), (True, 1.5)]
+    # Two resumes of the process (start and its one timeout), none for
+    # either step in place.
+    assert sim.ledger.to_dict()["body"]["resumes"] == 2
