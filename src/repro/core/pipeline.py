@@ -144,14 +144,13 @@ class PrefillPipeline:
         self.cached_groups = cached_groups
         self.config = config or PipelineConfig()
         self.metrics = PipelineMetrics()
-        n = len(plan.groups)
-        self._alloc_done: List[Event] = [sim.event() for _ in range(n)]
-        self._load_done: List[Event] = [sim.event() for _ in range(n)]
-        self._decrypt_done: List[Event] = [sim.event() for _ in range(n)]
-        for g in range(cached_groups):
-            self._alloc_done[g].succeed()
-            self._load_done[g].succeed()
-            self._decrypt_done[g].succeed()
+        # Per-group phase events; a cached group has none, since nothing
+        # waits for it.
+        cached = [None] * cached_groups
+        fresh = range(cached_groups, len(plan.groups))
+        self._alloc_done: List[Optional[Event]] = cached + [sim.event() for _ in fresh]
+        self._load_done: List[Optional[Event]] = cached + [sim.event() for _ in fresh]
+        self._decrypt_done: List[Optional[Event]] = cached + [sim.event() for _ in fresh]
         self._decrypt_ready: List[int] = []  # min-heap of loaded groups
         self._alloc_cursor = cached_groups
         self._pending_compute = None  # (op, duration, done_event)
@@ -192,7 +191,8 @@ class PrefillPipeline:
             self._kick_worker()
             if failure is not None or self._failure is not None:
                 cause = self._failure or failure
-                for event in self._alloc_done + self._load_done:
+                cached = self.cached_groups
+                for event in self._alloc_done[cached:] + self._load_done[cached:]:
                     if not event.triggered:
                         event.fail(cause)
             yield worker_proc
@@ -358,7 +358,7 @@ class PrefillPipeline:
             return
         self._failure = exc
         self._finished = True
-        for event in self._decrypt_done:
+        for event in self._decrypt_done[self.cached_groups :]:
             if not event.triggered:
                 event.fail(exc)
         if self._pending_compute is not None:
@@ -376,7 +376,11 @@ class PrefillPipeline:
             if self._failure is not None:
                 raise self._failure
             gid = self.plan.group_for_op.get(op.op_id)
-            if gid is not None and not self._decrypt_done[gid].triggered:
+            if (
+                gid is not None
+                and gid >= self.cached_groups
+                and not self._decrypt_done[gid].triggered
+            ):
                 yield self._decrypt_done[gid]
             duration = op_duration(op.flops, op.bytes_touched, self.platform, op.engine)
             if op.engine == Engine.CPU:

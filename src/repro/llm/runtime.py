@@ -2,8 +2,8 @@
 
 The executor walks a computation graph in topological order (the chain
 llama.cpp schedules), charging each operator's roofline duration on its
-engine.  Consecutive CPU operators share one hold of the CPU, handed
-over at an operator boundary only when another request needs it.  NPU
+engine.  Consecutive CPU operators share one grant of the CPU, handed
+over at an operator boundary only when another request is queued.  NPU
 operators are dispatched through a pluggable backend:
 
 * :class:`DirectNPUBackend` — idealized device (launch latency only); the
@@ -21,9 +21,8 @@ so end-to-end output text is reproducible.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from itertools import groupby
 from operator import attrgetter
 from typing import List, Optional, Union
 
@@ -201,7 +200,7 @@ class GraphExecutor:
         """Run the whole chain (generator).
 
         Each maximal run of consecutive CPU operators executes under one
-        CPU hold (see :meth:`_run_cpu`); NPU operators go one at a time
+        CPU grant (see :meth:`_run_cpu`); NPU operators go one at a time
         through the backend.
         """
         for engine, ops in groupby(graph.ops, key=attrgetter("engine")):
@@ -214,68 +213,39 @@ class GraphExecutor:
     def _run_cpu(self, durations: List[float], cpu_priority: float):
         """Run consecutive CPU operators of the given durations (generator).
 
-        The CPU is taken once and the holder wakes once, at the last
-        operator's boundary, instead of once per operator.  Each boundary
-        is the previous one plus the operator's duration, the instant a
-        per-operator timeout would land on, and is scheduled as that
-        absolute time.  The hold still ends at every boundary where
-        per-operator stepping would hand the CPU over: after one operator
-        when a request is already queued at the grant, and at the first
-        boundary at or after the arrival of a request that queues during
-        the hold.  The executor then releases, re-requests and carries
-        on, as it would after any operator.
+        The operators run under one CPU grant.  Each takes its duration
+        in place (:meth:`Simulator.advance`) when nothing is queued up
+        to its end, else as a timeout of its own; either way it ends at
+        the previous boundary plus its duration.  At a boundary where
+        another request is queued the executor releases the CPU and
+        re-requests it, as per-operator stepping does, so the CPU is
+        handed over at the same boundaries; where none is, whatever
+        else is due at the boundary runs before the next operator
+        starts, as it runs before per-operator stepping's re-grant.
         """
+        sim = self.sim
         cpu = self.cpu
-        first = 0
-        while first < len(durations):
+        done = 0
+        while done < len(durations):
             request = cpu.request(priority=cpu_priority)
             yield request
-            count = 1 if cpu.queued else len(durations) - first
-            hold = _CPUHold(self.sim, durations[first : first + count])
-            request.on_contention = hold.cut
             try:
-                yield hold.wake
-            finally:
-                done = hold.finished()
-                for duration in durations[first : first + done]:
+                waited = False
+                for duration in durations[done:]:
+                    if waited and not sim.advance(0.0):
+                        # Per-operator stepping re-takes the CPU through a
+                        # grant event dispatched after whatever else is
+                        # due at this boundary: let that run first too.
+                        yield sim.timeout(0.0)
+                    waited = not sim.advance(duration)
+                    if waited:
+                        yield sim.timeout(duration)
                     self.cpu_busy_time += duration
+                    done += 1
+                    if cpu.queued:
+                        break
+            finally:
                 cpu.release(request)
-            first += done
-
-
-class _CPUHold:
-    """The wake-up of one CPU hold over operators starting now."""
-
-    __slots__ = ("sim", "boundaries", "last", "wake")
-
-    def __init__(self, sim: Simulator, durations: List[float]):
-        self.sim = sim
-        #: each operator's end instant, summed left to right from now.
-        self.boundaries = list(accumulate(durations, initial=sim.now))[1:]
-        #: index of the boundary the wake-up is set for.
-        self.last = len(durations) - 1
-        self.wake = sim.timeout_at(self.boundaries[-1])
-
-    def cut(self) -> None:
-        """End the hold at the first boundary at or after now."""
-        index = bisect_left(self.boundaries, self.sim.now)
-        if index < self.last:
-            self.last = index
-            self.sim.reschedule(self.wake, self.boundaries[index])
-
-    def finished(self) -> int:
-        """How many operators of the hold completed.
-
-        After the wake-up, every operator up to its boundary.  A holder
-        interrupted before it completes only the operators whose
-        boundary lies before now; the wake-up then stays pending at the
-        unfinished operator's boundary, where that operator's own
-        timeout would have been left.
-        """
-        if self.wake.processed:
-            return self.last + 1
-        self.cut()
-        return bisect_left(self.boundaries, self.sim.now)
 
 
 def sample_token(model_id: str, step: int, vocab: int) -> int:

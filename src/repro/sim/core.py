@@ -455,42 +455,6 @@ class Simulator:
         self._now = when
         return True
 
-    def timeout_at(self, when: float, value: Any = None) -> Event:
-        """An event that triggers at the absolute instant ``when``.
-
-        ``timeout(when - now)`` triggers at ``now + (when - now)``, which
-        can be one ulp off ``when``; a caller that computed the instant
-        itself (a sum of durations taken left to right) schedules it
-        here.  :meth:`reschedule` can move it until it is processed.
-        """
-        if when < self._now:
-            raise SimulationError("timeout_at(%r) is before now (%r)" % (when, self._now))
-        event = Event(self)
-        event._value = value
-        self._schedule_at(when, event)
-        return event
-
-    def reschedule(self, event: Event, when: float) -> None:
-        """Move a pending :meth:`timeout_at` event to the instant ``when``.
-
-        The event is then ordered among same-instant events as if it had
-        been scheduled now.  Linear in the queue length: meant for rare
-        moves (a CPU hold cut short by contention), not the fast path.
-        """
-        if when < self._now:
-            raise SimulationError("reschedule(%r) is before now (%r)" % (when, self._now))
-        queue = self._queue
-        for index, entry in enumerate(queue):
-            if entry[3] is event:
-                break
-        else:
-            raise SimulationError("reschedule of an event that is not pending")
-        last = queue.pop()
-        if index < len(queue):
-            queue[index] = last
-            heapq.heapify(queue)
-        self._schedule_at(when, event)
-
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
@@ -503,9 +467,13 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_steps: int = 50_000_000) -> None:
         """Run until the queue drains, or simulated time reaches ``until``.
 
-        ``max_steps`` guards against accidental infinite event loops in
-        model code; exceeding it raises :class:`SimulationError`.
+        ``until`` earlier than ``now`` raises :class:`SimulationError`
+        (the clock never goes back).  ``max_steps`` guards against
+        accidental infinite event loops in model code; exceeding it
+        raises :class:`SimulationError`.
         """
+        if until is not None and until < self._now:
+            raise SimulationError("run(until=%r) is before now (%r)" % (until, self._now))
         steps = 0
         self._horizon = math.inf if until is None else until
         try:

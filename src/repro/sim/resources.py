@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .core import Event, SimulationError, Simulator
 
@@ -158,14 +158,7 @@ class Request(Event):
 
     Usable as a handle: pass it back to :meth:`Resource.release`.  Cancel a
     queued request with :meth:`cancel` (used when a waiter times out).
-
-    A holder that prices several units of work under one grant sets
-    ``on_contention``: the resource calls it whenever another request
-    has to queue while this one holds a slot, so the holder can hand
-    the slot over at its next unit boundary.
     """
-
-    on_contention: Optional[Callable[[], None]] = None
 
     def __init__(self, resource: "Resource", priority: float, data: Any):
         super().__init__(resource.sim)
@@ -222,10 +215,6 @@ class Resource:
         key = priority if self._prioritized else 0.0
         heapq.heappush(self._queue, (key, next(self._seq), req))
         self._admit()
-        if not req._triggered:
-            for holder in self._users:
-                if holder.on_contention is not None:
-                    holder.on_contention()
         return req
 
     def release(self, request: Request) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..errors import IagoViolation, ProtocolError, WatchdogTimeout
 from ..hw.common import World
@@ -47,8 +47,9 @@ class SecureJobState(enum.Enum):
     ISSUED = "issued"  # shadow job handed to the REE scheduler
     RUNNING = "running"
     DONE = "done"
-    #: the watchdog gave up on this shadow hand-off and re-issued the job
-    #: under a new shadow id; a late take-over for it is declined.
+    #: the watchdog gave up on this shadow hand-off (and re-issued the
+    #: job under a new shadow id, or gave up on the job before it reached
+    #: the device); a late take-over for it is declined.
     ABANDONED = "abandoned"
 
 
@@ -83,6 +84,9 @@ class TEENPUDriver:
         self._shadow_ids = itertools.count(1)
         self._issue_seq = itertools.count(0)
         self._exec_seq = 0
+        #: sequence numbers past ``_exec_seq`` that are done with: jobs
+        #: abandoned before they reached the device.
+        self._retired: Set[int] = set()
         self._irq_done: Optional[Event] = None
         self.secure_jobs_completed = 0
         self.take_over_rejections = 0
@@ -132,7 +136,10 @@ class TEENPUDriver:
         the stale shadow is abandoned and the job re-issued — at the
         *same* sequence number, under a new shadow id — up to
         ``max_reissues`` times before :class:`WatchdogTimeout` surfaces.
-        A job already ``RUNNING`` on the device is never re-issued; the
+        A job given up on before it reached the device is abandoned: a
+        late take-over for it is declined, and its sequence number is
+        retired so later jobs still pass the sequence check.  A job
+        already ``RUNNING`` on the device is never re-issued; the
         watchdog keeps waiting (bounded) for its completion instead.
         """
         record = self.init_job(job)
@@ -168,10 +175,14 @@ class TEENPUDriver:
             if record.state is SecureJobState.RUNNING and patience > 0:
                 patience -= 1  # on the device: a hang resolves, wait more
                 continue
-            raise WatchdogTimeout(
+            error = WatchdogTimeout(
                 "secure job %d (seq %d) incomplete after %d re-issues in state %s"
                 % (record.shadow_id, record.seq, reissues, record.state.value)
             )
+            if record.state is SecureJobState.ISSUED:
+                record.state = SecureJobState.ABANDONED
+                self._retire(record.seq)
+            raise error
 
     def init_job(self, job: NPUJob) -> SecureJobRecord:
         """Step 1: register the execution context (not yet schedulable)."""
@@ -288,12 +299,23 @@ class TEENPUDriver:
                     )
                 yield self.sim.timeout(hang)
         yield from self._leave_secure_mode()
-        self._exec_seq += 1
+        self._retire(record.seq)
         record.state = SecureJobState.DONE
         self.secure_jobs_completed += 1
         self._note_job("completed")
         record.completion.succeed(completed)
         return shadow_id
+
+    def _retire(self, seq: int) -> None:
+        """Mark ``seq`` done with (run, or abandoned before it reached the
+        device).  The execution counter then steps past every retired
+        number in order: a job abandoned while an earlier one is still
+        pending (several TAs share the co-driver) is skipped once that
+        one has run."""
+        self._retired.add(seq)
+        while self._exec_seq in self._retired:
+            self._retired.remove(self._exec_seq)
+            self._exec_seq += 1
 
     def _on_irq(self, irq: int, job: NPUJob) -> None:
         if self._irq_done is not None and not self._irq_done.triggered:

@@ -99,12 +99,8 @@ def test_replay_attack_still_detected_under_chaos(hardened_system):
         sim.run_until(sim.process(forge()))
 
 
-def test_in_place_steps_match_per_step_stepping_under_chaos(
-    seed, codriver_mix, per_step_stepping, advance_tally
-):
-    """A seeded co-driver mix under every NPU fault site observes exactly
-    what per-step stepping observes (see tests/integration/
-    test_codriver_stepping.py), and reaches both sides of advance."""
+def chaos_mix(seed):
+    """A seeded 24-item co-driver mix with every NPU fault site armed."""
     rng = random.Random(seed)
     items = [
         (
@@ -114,7 +110,7 @@ def test_in_place_steps_match_per_step_stepping_under_chaos(
         )
         for _ in range(24)
     ]
-    mix = {
+    return {
         "items": items,
         "contender": (rng.uniform(0.0, 0.01), 0.04),
         "faults": [
@@ -125,9 +121,33 @@ def test_in_place_steps_match_per_step_stepping_under_chaos(
         "fault_seed": seed,
         "cuts": sorted(rng.uniform(0.0, 0.2) for _ in range(3)),
     }
+
+
+def run_both_ways(seed, codriver_mix, per_step_stepping, advance_tally):
     with advance_tally() as tally:
-        shipped = codriver_mix(**mix)
+        shipped = codriver_mix(**chaos_mix(seed))
     with per_step_stepping():
-        reference = codriver_mix(**mix)
+        reference = codriver_mix(**chaos_mix(seed))
     assert shipped == reference
     assert tally[True] > 0 and tally[False] > 0
+    return shipped
+
+
+def test_in_place_steps_match_per_step_stepping_under_chaos(
+    seed, codriver_mix, per_step_stepping, advance_tally
+):
+    """A seeded co-driver mix under every NPU fault site observes exactly
+    what per-step stepping observes (see tests/integration/
+    test_codriver_stepping.py), and reaches both sides of advance."""
+    run_both_ways(seed, codriver_mix, per_step_stepping, advance_tally)
+
+
+def test_job_given_up_on_does_not_stop_the_mix(codriver_mix, per_step_stepping, advance_tally):
+    """Seed 46: a watched job loses every hand-off and times out before
+    it reaches the device.  The next job's take-over still passes the
+    sequence check, and the mix runs to its end."""
+    observed = run_both_ways(46, codriver_mix, per_step_stepping, advance_tally)
+    assert "raised" not in observed
+    outcomes = observed["end"]["outcomes"]
+    assert "timed out" in outcomes
+    assert outcomes[outcomes.index("timed out") + 1 :].count("done") > 0

@@ -56,9 +56,10 @@ def per_step_advance(self, delay):
     """``Simulator.advance`` that never steps in place.
 
     Every fixed-latency step (an SMC's switch latency, a co-driver
-    register write, an NPU job's run time) then takes the queue as a
-    timeout of its own, one event each: per-step stepping, the
-    reference the in-place steps must be indistinguishable from.
+    register write, an NPU job's run time, a CPU operator) then takes
+    the queue as a timeout of its own, one event each: per-step
+    stepping, the reference the in-place steps must be
+    indistinguishable from.
     """
     if delay < 0:
         raise SimulationError("negative timeout delay: %r" % (delay,))

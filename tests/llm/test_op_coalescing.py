@@ -1,13 +1,21 @@
-"""Differential tests: CPU runs under one hold vs per-operator stepping.
+"""Differential tests: CPU runs under one grant vs per-operator stepping.
 
 ``GraphExecutor.execute`` takes the CPU once per run of consecutive CPU
-operators and wakes once, at the run's last boundary, handing the CPU
-over at an operator boundary only when a competing request needs it.
-These tests run random CPU/NPU chains against up to three contenders on
-a capacity-1 priority CPU, once with the executor and once with the
-per-operator reference loop (``per_op_reference``, see
-``tests/conftest.py``), and require every grant instant, the chain's end
-instant and the executor's busy-time accumulators to match bit for bit.
+operators and steps each operator through ``Simulator.advance`` (in
+place, or as a timeout of its own when an event is queued up to its
+end), handing the CPU over at an operator boundary only when a
+competing request is queued.  These tests run random CPU/NPU chains
+against up to three contenders on a capacity-1 priority CPU, once with
+the executor and once with the per-operator reference loop
+(``per_op_reference``, see ``tests/conftest.py``), and require every
+grant instant, the chain's end instant and the executor's busy-time
+accumulators to match bit for bit.
+
+The one behaviour the executor does not copy: an interrupt that reaches
+the per-operator loop while it waits for its own immediate re-grant
+leaves that grant held for good, while the executor, which keeps the
+CPU across the boundary, releases it.  Nothing in the package
+interrupts an executor.
 """
 
 from itertools import accumulate
@@ -18,7 +26,7 @@ from hypothesis import strategies as st
 from repro.config import RK3588
 from repro.llm import DirectNPUBackend, Engine, GraphExecutor, get_model
 from repro.llm.graph import ComputationGraph, ComputeOp
-from repro.sim import Interrupt, Resource, Simulator
+from repro.sim import Event, Interrupt, Resource, Simulator
 
 PLATFORM = RK3588
 MODEL = get_model("tinyllama-1.1b-q8")
@@ -57,6 +65,13 @@ def uncontended_boundaries(executor, graph, start):
     return list(accumulate(steps, initial=start))[1:]
 
 
+def event_at(sim, when):
+    """An event dispatched at the absolute instant ``when``."""
+    event = Event(sim)
+    sim._schedule_at(when, event)
+    return event
+
+
 def run_scenario(execute, ops, contenders, cpu_priority, start, interrupt_at):
     """Run one chain against ``contenders`` (arrival, priority, hold);
     return everything the two executors must agree on."""
@@ -71,6 +86,13 @@ def run_scenario(execute, ops, contenders, cpu_priority, start, interrupt_at):
         # The timer is set at t=0, before the executor's first request.
         if arrival[0] == "boundary":
             yield sim.timeout(boundaries[arrival[1] % len(boundaries)])
+        elif arrival[0] == "chain":
+            # Set inside an operator for its end instant, so queued behind
+            # that operator's own timeout, and from there for the next end.
+            k = arrival[1] % len(boundaries)
+            yield sim.timeout(((boundaries[k - 1] if k else start) + boundaries[k]) / 2)
+            for end in boundaries[k : k + 2]:
+                yield event_at(sim, end)
         else:
             yield sim.timeout(arrival[1])
         request = executor.cpu.request(priority=priority)
@@ -126,6 +148,7 @@ _OPS = st.lists(
 )
 _ARRIVAL = st.one_of(
     st.tuples(st.just("boundary"), st.integers(min_value=0, max_value=11)),
+    st.tuples(st.just("chain"), st.integers(min_value=0, max_value=11)),
     st.tuples(st.just("at"), st.floats(min_value=0.0, max_value=0.08)),
 )
 _CONTENDERS = st.lists(
@@ -168,8 +191,9 @@ def test_uncontended_run_is_one_grant_and_one_wake(per_op_reference):
         sim.run_until(sim.process(execute(executor, make_graph(CPU_OPS * 10))))
         results[name] = (sim.now, executor.cpu_busy_time, sim.steps, executor.cpu.stats.grants)
     assert results["run"][:2] == results["per_op"][:2]
-    # process start + grant + wake + process end, against two events per op.
-    assert results["run"][2] == 4
+    # process start + grant (the one wake: every operator then runs in
+    # place) + process end, against two events per op.
+    assert results["run"][2] == 3
     assert results["per_op"][2] == 2 + 2 * 40
     assert results["run"][3] == 1
 
@@ -223,14 +247,47 @@ def test_interrupt_mid_run_counts_only_finished_ops(per_op_reference):
     assert run["end"] == 1e-4 + 2.5 * OP_TIME
 
 
-def test_boundary_landing_trigger_scheduled_mid_run_is_the_one_deviation(
-    per_op_reference,
+def test_interrupt_while_queued_for_the_cpu_matches(per_op_reference):
+    # A holds the CPU from t=0; the executor queues behind it and is
+    # interrupted before it is granted.
+    args = (CPU_OPS, [(("at", 0.0), 0, 5e-3)], 0, 1e-4, 1e-3)
+    run = run_scenario(coalesced, *args)
+    assert run == run_scenario(per_op_reference, *args)
+    assert run["cpu_busy_time"] == 0.0
+    assert run["end"] == 1e-3
+
+
+def test_timer_inside_a_run_sends_only_its_operator_through_the_queue(
+    per_op_reference, advance_tally
 ):
+    """A timer that never asks for the CPU fires inside the third
+    operator: that operator takes a timeout, the others run in place,
+    and the timer and the run see what they see under per-op stepping."""
+    boundaries = list(accumulate([OP_TIME] * 4))
+    observed = {}
+    for name, execute in (("run", coalesced), ("per_op", per_op_reference)):
+        sim = Simulator()
+        executor = new_executor(sim)
+        seen = []
+        timer = sim.timeout((boundaries[1] + boundaries[2]) / 2)
+        timer.add_callback(lambda event: seen.append((sim.now, executor.cpu.count)))
+        with advance_tally() as tally:
+            sim.run_until(sim.process(execute(executor, make_graph(CPU_OPS))))
+        observed[name] = (seen, sim.now, executor.cpu_busy_time)
+        if name == "run":
+            # Operator 3 as a timeout; operators 1, 2 and 4, and the
+            # zero-length re-grant step after operator 3, in place.
+            assert tally == {True: 4, False: 1}
+    assert observed["run"] == observed["per_op"]
+    assert observed["run"][:2] == ([((boundaries[1] + boundaries[2]) / 2, 1)], boundaries[3])
+
+
+def test_boundary_landing_trigger_scheduled_mid_run_matches_per_op(per_op_reference):
     """A request whose trigger is scheduled *during* the run and lands
-    exactly on an operator boundary is granted at that boundary.  Per-op
-    stepping orders same-instant events by sequence number: the
-    operator's timeout was scheduled first, so the executor re-takes the
-    CPU at that instant and the request waits one more operator."""
+    exactly on an operator boundary waits one more operator, as under
+    per-op stepping: the operator's own timeout for that instant was
+    queued first, so the executor has re-taken the CPU for the next
+    operator when the request is made."""
     grants = {}
     for name, execute in (("run", coalesced), ("per_op", per_op_reference)):
         sim = Simulator()
@@ -241,7 +298,7 @@ def test_boundary_landing_trigger_scheduled_mid_run_is_the_one_deviation(
         def contender():
             # Scheduled inside the second operator, for its end instant.
             yield sim.timeout((boundaries[0] + boundaries[1]) / 2)
-            yield sim.timeout_at(boundaries[1])
+            yield event_at(sim, boundaries[1])
             request = executor.cpu.request(priority=0)
             yield request
             grants[name] = sim.now
@@ -250,5 +307,36 @@ def test_boundary_landing_trigger_scheduled_mid_run_is_the_one_deviation(
         sim.process(execute(executor, graph))
         sim.process(contender())
         sim.run()
-    assert grants["run"] == boundaries[1]
-    assert grants["per_op"] == boundaries[2]
+    assert grants["run"] == grants["per_op"] == boundaries[2]
+
+
+def test_chain_from_a_boundary_trigger_to_the_next_boundary_matches_per_op(
+    per_op_reference,
+):
+    """The trigger above, landing on the second operator's end behind
+    that operator's timeout, sets a timer for exactly the third
+    operator's end and requests the CPU there.  Per-op stepping re-takes
+    the CPU through a grant dispatched after the trigger, so the timer
+    is queued ahead of the third operator's timeout and the request is
+    granted at that boundary; the executor waits behind the trigger the
+    same way."""
+    grants = {}
+    for name, execute in (("run", coalesced), ("per_op", per_op_reference)):
+        sim = Simulator()
+        executor = new_executor(sim)
+        graph = make_graph(CPU_OPS)
+        boundaries = uncontended_boundaries(executor, graph, 0.0)
+
+        def contender():
+            yield sim.timeout((boundaries[0] + boundaries[1]) / 2)
+            yield event_at(sim, boundaries[1])
+            yield sim.timeout(executor.op_time(graph.ops[2]))
+            request = executor.cpu.request(priority=0)
+            yield request
+            grants[name] = sim.now
+            executor.cpu.release(request)
+
+        sim.process(execute(executor, graph))
+        sim.process(contender())
+        sim.run()
+    assert grants["run"] == grants["per_op"] == boundaries[2]

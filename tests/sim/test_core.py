@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, ProcessLedger, SimulationError, Simulator
+from repro.sim import Event, Interrupt, ProcessLedger, SimulationError, Simulator
 
 
 def test_timeout_advances_clock():
@@ -310,51 +310,41 @@ def test_nested_process_chain():
     assert sim.now == 6.0
 
 
-def test_timeout_at_lands_on_the_absolute_instant():
+def test_run_until_an_earlier_instant_is_rejected():
     sim = Simulator()
-    sim.run(until=0.1)
-    end = 0.3702702702702702
-    # A relative timeout from 0.1 lands one ulp early here.
-    assert sim.now + (end - sim.now) != end
-    fired = []
-    sim.timeout_at(end).add_callback(lambda event: fired.append(sim.now))
+    sim.timeout(2.0)
+    sim.run(until=1.0)
+    with pytest.raises(SimulationError, match="before now"):
+        sim.run(until=0.5)
+    assert sim.now == 1.0
+    # ``until == now`` is still a run that goes nowhere.
+    sim.run(until=1.0)
+    assert sim.now == 1.0
     sim.run()
-    assert fired == [end]
-    with pytest.raises(SimulationError):
-        sim.timeout_at(end / 2)
-
-
-def test_reschedule_moves_a_pending_timeout_earlier():
-    sim = Simulator()
-    order = []
-    wake = sim.timeout_at(5.0)
-    wake.add_callback(lambda event: order.append(("wake", sim.now)))
-    for when in (1.0, 2.0, 3.0):
-        sim.timeout_at(when).add_callback(lambda event: order.append(("other", sim.now)))
-    sim.run(until=1.5)
-    sim.reschedule(wake, 2.0)
-    sim.run()
-    # Moved to 2.0 and ordered after the event already pending there.
-    assert order == [("other", 1.0), ("other", 2.0), ("wake", 2.0), ("other", 3.0)]
-    assert sim.now == 3.0
-    with pytest.raises(SimulationError, match="not pending"):
-        sim.reschedule(wake, 4.0)
+    assert sim.now == 2.0
 
 
 # ----------------------------------------------------------------------
 # advance: a fixed-latency step in place
 # ----------------------------------------------------------------------
+def event_at(sim, when):
+    """An event dispatched at the absolute instant ``when``."""
+    event = Event(sim)
+    sim._schedule_at(when, event)
+    return event
+
+
 def step_at(sim, start, delay, log):
     """A callback at ``start`` that tries ``advance(delay)``, logging
     the answer and the clock after it."""
-    sim.timeout_at(start).add_callback(lambda event: log.append((sim.advance(delay), sim.now)))
+    event_at(sim, start).add_callback(lambda event: log.append((sim.advance(delay), sim.now)))
 
 
 def test_advance_refuses_a_queue_head_at_its_end():
     sim = Simulator()
     log = []
     step_at(sim, 0.5, 0.25, log)
-    sim.timeout_at(0.75)
+    event_at(sim, 0.75)
     sim.run()
     # The timeout would tie with the queued event, and ties take the queue.
     assert log == [(False, 0.5)]
@@ -364,7 +354,7 @@ def test_advance_with_a_later_queue_head_is_bit_exact():
     sim = Simulator()
     log = []
     step_at(sim, 0.1, 0.2, log)
-    sim.timeout_at(0.5)
+    event_at(sim, 0.5)
     sim.run()
     # Exactly where timeout(0.2) from 0.1 would have landed.
     assert 0.1 + 0.2 != 0.3

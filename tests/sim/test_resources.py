@@ -308,21 +308,3 @@ def test_pipe_sync_midrun_is_idempotent():
     # ...and the completion schedule was untouched by the mid-run reads.
     assert sim.now == pytest.approx(2.0)
     assert pipe.stats.busy_time == pytest.approx(2.0)
-
-
-def test_contention_hook_fires_only_for_queued_requests():
-    sim = Simulator()
-    res = Resource(sim, capacity=1, priority=True)
-    calls = []
-    holder = res.request()
-    holder.on_contention = lambda: calls.append(sim.now)
-    sim.run()
-    queued = res.request(priority=-1)
-    assert calls == [0.0]
-    res.release(holder)
-    # The queued request now holds; with no hook of its own, a second
-    # waiter notifies nobody.
-    assert queued.triggered
-    res.request()
-    assert calls == [0.0]
-    sim.run()

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.config import MiB, PAGE_SIZE, RK3588
-from repro.errors import IagoViolation
+from repro.errors import IagoViolation, WatchdogTimeout
+from repro.faults import FaultPlan, FaultSpec
 from repro.hw import AddrRange, NPUJob, World
 from repro.stack import build_stack
+from repro.tee.npu_driver import TAKE_OVER_DECLINED, SecureJobState
 
 PG = PAGE_SIZE
 S = World.SECURE
@@ -247,3 +249,87 @@ def test_nonsecure_job_after_secure_one_still_works(stack):
     sim.run_until(proc)
     assert results[0].faulted is None
     assert stack.board.npu.jobs_completed == 2
+
+
+def test_job_abandoned_before_the_device_does_not_wedge_the_sequence_check(stack):
+    """Job A loses every shadow hand-off, so the watchdog gives up on it
+    before it reaches the device.  Its sequence number is retired: job B
+    still passes the sequence check, and A's late take-over is declined,
+    while a replayed take-over and one ahead of the execution counter
+    still raise."""
+    sim = stack.sim
+    tee, ree = stack.tee_npu, stack.ree_npu
+    plan = FaultPlan(0, [FaultSpec("ree.smc_drop", probability=1.0, max_fires=3)])
+    plan.injector(sim).arm(stack)
+    outcomes = []
+
+    def a_then_b():
+        try:
+            yield from tee.submit_secure_job(secure_job(), timeout=0.05, max_reissues=2)
+        except WatchdogTimeout:
+            outcomes.append("A timed out")
+        yield from tee.submit_secure_job(secure_job())
+        outcomes.append("B done")
+
+    sim.run_until(sim.process(a_then_b()))
+    assert outcomes == ["A timed out", "B done"]
+    assert ree.shadow_jobs_dropped == 3
+    a = max((r for r in tee._records.values() if r.seq == 0), key=lambda r: r.shadow_id)
+    b = next(r for r in tee._records.values() if r.seq == 1)
+    assert a.state is SecureJobState.ABANDONED
+    assert b.state is SecureJobState.DONE
+
+    def take_over(record):
+        return sim.process(ree.attack_replay_take_over(record.shadow_id, record.seq))
+
+    assert sim.run_until(take_over(a)) == TAKE_OVER_DECLINED
+    with pytest.raises(IagoViolation, match="state"):
+        sim.run_until(take_over(b))
+    # Two jobs queued behind a long REE job; presenting the second first
+    # is still out of order.
+    first, second = tee.init_job(secure_job()), tee.init_job(secure_job())
+
+    def issue_both():
+        ree.submit(nonsecure_job(duration=0.1))
+        yield from tee.issue_job(first)
+        yield from tee.issue_job(second)
+
+    sim.run_until(sim.process(issue_both()))
+    with pytest.raises(IagoViolation, match="presented 3, record 3, expected 2"):
+        sim.run_until(take_over(second))
+    assert tee.secure_jobs_completed == 1
+
+
+def test_job_abandoned_behind_a_pending_one_is_skipped_once_that_one_runs(stack):
+    """Two secure jobs wait behind a long REE job; the later one's
+    watchdog gives up on it first.  The earlier job still runs, the
+    abandoned one never does, and the next job passes the sequence
+    check."""
+    sim = stack.sim
+    tee, ree = stack.tee_npu, stack.ree_npu
+    log = []
+
+    def earlier():
+        yield from tee.submit_secure_job(secure_job())
+        log.append("earlier")
+
+    def later():
+        try:
+            yield from tee.submit_secure_job(secure_job(), timeout=0.01, max_reissues=1)
+        except WatchdogTimeout:
+            log.append("later timed out")
+
+    def run():
+        ree.submit(nonsecure_job(duration=0.1))
+        yield sim.all_of([sim.process(earlier()), sim.process(later())])
+        yield from tee.submit_secure_job(secure_job())
+        log.append("next")
+
+    sim.run_until(sim.process(run()))
+    assert log == ["later timed out", "earlier", "next"]
+    assert tee.secure_jobs_completed == 2
+    assert tee.stale_take_over_declines == 2
+    assert all(
+        r.state is (SecureJobState.ABANDONED if r.seq == 1 else SecureJobState.DONE)
+        for r in tee._records.values()
+    )
