@@ -457,7 +457,8 @@ class PrefillPipeline:
         op, duration, done = self._pending_compute
         self._pending_compute = None
         with self.tracer.span("compute", op.name, lane="CPU"):
-            yield self.sim.timeout(duration)
+            if not self.sim.advance(duration):
+                yield self.sim.timeout(duration)
         done.succeed()
 
     def _maybe_preempt(self):
@@ -501,7 +502,8 @@ class PrefillPipeline:
             step = remaining if slice_time <= 0 else min(slice_time, remaining)
             if step > 0:
                 with self.tracer.span("decrypt", "decrypt g%d" % g, lane="CPU"):
-                    yield self.sim.timeout(step)
+                    if not self.sim.advance(step):
+                        yield self.sim.timeout(step)
             remaining -= step
             if remaining > 0:
                 c0 = self.sim.now

@@ -111,7 +111,8 @@ class Flash:
             raise StorageError(
                 "injected flash read error on %r at offset %d" % (name, offset)
             )
-        yield self.sim.timeout(self.spec.read_latency)
+        if not self.sim.advance(self.spec.read_latency):
+            yield self.sim.timeout(self.spec.read_latency)
         yield self.pipe.transfer(size if nominal is None else nominal, tag=("read", name))
         data = bytes(blob[offset : offset + size])
         if injector is not None:

@@ -8,15 +8,17 @@ real ``cpu_read`` in the non-secure world, and it really raises
 
 Pages are materialized lazily (16 GiB of simulated RAM costs nothing
 until written), and an ascending index of the materialized page numbers
-lets zeroing and copying visit only the pages that hold bytes.  There is
-no timing here — callers charge simulated time through their own cost
+lets zeroing and copying visit only the pages that hold bytes.  Page
+writes copy ``bytearray`` to ``bytearray`` where they can: CPython copies
+any other source into a temporary ``bytearray`` first.  There is no
+timing here — callers charge simulated time through their own cost
 models.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, Iterable, List, Optional
+from typing import Container, Dict, Iterable, List, Optional
 
 from ..config import PAGE_SIZE
 from ..errors import ConfigurationError
@@ -24,6 +26,9 @@ from .common import AddrRange, World
 from .tzasc import TZASC
 
 __all__ = ["PhysicalMemory"]
+
+#: the source of every zeroing (read only).
+_ZERO_PAGE = bytearray(PAGE_SIZE)
 
 
 class PhysicalMemory:
@@ -93,9 +98,11 @@ class PhysicalMemory:
         """``_raw_write(address, blob)`` for each pair, in one pass.
 
         For many small blobs (stress-ng's per-frame patterns): a blob
-        inside one page is one slice assignment, one that crosses a page
-        boundary takes :meth:`_raw_write`.  Bounds are checked per blob,
-        and blobs before a rejected one stay written.
+        inside one page is one slice assignment, skipped when the page
+        already holds it; one that crosses a page boundary takes
+        :meth:`_raw_write`.  A blob still materializes a missing page.
+        Bounds are checked per blob, and blobs before a rejected one stay
+        written.
         """
         total = self.total_bytes
         pages = self._pages
@@ -115,6 +122,8 @@ class PhysicalMemory:
                 if page is None:
                     page = pages[page_index] = bytearray(PAGE_SIZE)
                     fresh.append(page_index)
+                elif page.startswith(data, offset):
+                    continue
                 page[offset : offset + size] = data
         finally:
             if fresh:
@@ -153,36 +162,56 @@ class PhysicalMemory:
         self.tzasc.check_cpu(AddrRange(base, size), world)
         self._zero_raw(base, size)
 
-    def _zero_raw(self, base: int, size: int) -> None:
+    def _zero_raw(self, base: int, size: int, keep: Container[int] = ()) -> None:
+        """Zero ``[base, base + size)``, except in the pages in ``keep``."""
         if size <= 0:
             return
         end = base + size
         pages = self._pages
         for page_index in self._materialized_in(base, size):
+            if page_index in keep:
+                continue
             page_base = page_index * PAGE_SIZE
             start = max(base - page_base, 0)
             stop = min(end - page_base, PAGE_SIZE)
-            pages[page_index][start:stop] = bytes(stop - start)
+            pages[page_index][start:stop] = (
+                _ZERO_PAGE if stop - start == PAGE_SIZE else _ZERO_PAGE[start:stop]
+            )
 
     def copy_range(self, src: int, dst: int, size: int) -> None:
         """Raw copy between disjoint ranges that skips never-materialized
-        (all-zero) source pages.
+        (all-zero) source pages; overlapping ranges raise
+        :class:`~repro.errors.ConfigurationError`.
 
         Used by page migration: copying a mostly-untouched granule costs
         nothing, exactly like copying zero pages costs the real kernel a
-        memset it would do anyway.
+        memset it would do anyway.  When ``dst - src`` is a page multiple,
+        as in every migration, each materialized source page lands on one
+        destination page, copied page to page.
         """
         self._check_bounds(src, size)
         self._check_bounds(dst, size)
-        # Clear stale destination content first: absent source pages are
-        # logically zero, and the copy must not leak a prior occupant.
-        self._zero_raw(dst, size)
+        if src < dst + size and dst < src + size:
+            raise ConfigurationError(
+                "copy [0x%x, 0x%x) -> [0x%x, 0x%x) overlaps" % (src, src + size, dst, dst + size)
+            )
+        delta = dst - src
+        shift, misaligned = divmod(delta, PAGE_SIZE)
+        sources = self._materialized_in(src, size)
+        # Absent source pages are logically zero, so destination bytes no
+        # source page overwrites are cleared: the copy must not leak a
+        # prior occupant.
+        self._zero_raw(dst, size, () if misaligned else {p + shift for p in sources})
         end = src + size
         pages = self._pages
-        for page_index in self._materialized_in(src, size):
+        for page_index in sources:
+            page = pages[page_index]
             page_base = page_index * PAGE_SIZE
-            start = max(src, page_base)
-            stop = min(end, page_base + PAGE_SIZE)
-            self._raw_write(
-                dst + (start - src), pages[page_index][start - page_base : stop - page_base]
-            )
+            start = max(src - page_base, 0)
+            stop = min(end - page_base, PAGE_SIZE)
+            if misaligned:
+                self._raw_write(page_base + start + delta, page[start:stop])
+            elif stop - start == PAGE_SIZE:
+                self._page(page_index + shift)[:] = page
+            else:
+                self._page(page_index + shift)[start:stop] = page[start:stop]

@@ -183,7 +183,9 @@ class CMARegion:
                     attempt += 1
         if migrated_bytes:
             start = self.sim.now
-            yield self.sim.timeout(self.migration_seconds(migrated_bytes, threads))
+            burst = self.migration_seconds(migrated_bytes, threads)
+            if not self.sim.advance(burst):
+                yield self.sim.timeout(burst)
             self.migrations.append(
                 MigrationRecord(start, self.sim.now, migrated_bytes, threads)
             )
@@ -196,7 +198,9 @@ class CMARegion:
                     "cma_migrated_bytes_total", "Bytes copied by CMA migration"
                 ).inc(migrated_bytes, region=self.name)
         # Fast-path claim cost for the whole run.
-        yield self.sim.timeout(self.buddy.alloc_seconds(n_frames * self.db.granule, self.spec))
+        claim = self.buddy.alloc_seconds(n_frames * self.db.granule, self.spec)
+        if not self.sim.advance(claim):
+            yield self.sim.timeout(claim)
         frames = list(range(start_frame, start_frame + n_frames))
         for frame in frames:
             self._free.discard(frame)

@@ -16,12 +16,17 @@ Two behaviours mirror the real tool:
   :meth:`refresh` between experiment phases to model one sweep of that
   loop.
 
-Functional checks: the stressor can verify its surviving pages still hold
-their patterns after migrations (migration must copy, not corrupt).
+Each frame's pattern is eight copies of an 8-byte header naming the
+frame.  A sweep writes a pattern only where the frame's page does not
+already hold it.  Functional checks: the stressor can verify its
+surviving pages still hold whole patterns after migrations (migration
+must copy, not corrupt).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import mul
 from typing import List
 
 from ..errors import ConfigurationError
@@ -31,6 +36,24 @@ from ..ree.pages import Allocation
 __all__ = ["MemoryStress"]
 
 _PATTERN_STRIDE = 64
+#: copies of a frame's 8-byte header in its pattern.
+_HEADER_COPIES = _PATTERN_STRIDE // 8
+
+
+class _Headers(dict):
+    """frame -> its pattern header (``S`` and 7 digits), formatted on
+    first use: a header depends on its frame alone, so the cache holds
+    at most one entry per frame of RAM."""
+
+    def __missing__(self, frame: int) -> bytes:
+        header = self[frame] = b"S%07d" % (frame % 10_000_000)
+        return header
+
+
+def _is_pattern(data: bytes) -> bool:
+    """Whether ``data`` is one stride of some frame's pattern."""
+    header = data[:8]
+    return header[:1] == b"S" and header[1:].isdigit() and data == header * _HEADER_COPIES
 
 
 class MemoryStress:
@@ -53,6 +76,7 @@ class MemoryStress:
         self.headroom = headroom
         self.allocs: List[Allocation] = []
         self._running = False
+        self._headers = _Headers()
 
     # ------------------------------------------------------------------
     @property
@@ -96,11 +120,9 @@ class MemoryStress:
         self.allocs.append(alloc)
         frames = alloc.frames
         self.kernel.board.memory._raw_write_many(
-            map(self.kernel.db.frame_addr, frames), map(self._pattern, frames)
+            map(mul, frames, repeat(granule)),
+            map(mul, map(self._headers.__getitem__, frames), repeat(_HEADER_COPIES)),
         )
-
-    def _pattern(self, frame: int) -> bytes:
-        return (b"S%07d" % (frame % 10_000_000)) * (_PATTERN_STRIDE // 8)
 
     # ------------------------------------------------------------------
     def frames_in_cma(self) -> int:
@@ -115,7 +137,7 @@ class MemoryStress:
         return count
 
     def verify_surviving_pages(self) -> int:
-        """Check that every still-mapped page holds a valid stress pattern
+        """Check that every still-mapped page holds a whole stress pattern
         (migration must have copied the data).  Returns pages checked."""
         memory = self.kernel.board.memory
         checked = 0
@@ -125,10 +147,8 @@ class MemoryStress:
             for frame in alloc.frames:
                 addr = self.kernel.db.frame_addr(frame)
                 data = memory._raw_read(addr, _PATTERN_STRIDE)
-                if not (data[:1] == b"S" and data[1:8].isdigit()):
-                    raise AssertionError(
-                        "stress page at frame %d corrupted: %r" % (frame, data[:16])
-                    )
+                if not _is_pattern(data):
+                    raise AssertionError("stress page at frame %d corrupted: %r" % (frame, data))
                 checked += 1
         return checked
 

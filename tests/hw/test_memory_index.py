@@ -1,9 +1,13 @@
 """Differential test of PhysicalMemory's materialized-page index.
 
 A small PhysicalMemory and a flat bytearray take the same random
-operations — raw, bulk and CPU writes, scrubs and disjoint copies, with
-ranges that cross page and 1 MiB boundaries or were never written.  The
-bytes must agree everywhere afterwards, the index must list exactly the
+operations — raw, bulk and CPU writes, scrubs and copies, with ranges
+that cross page and 1 MiB boundaries or were never written.  Bulk writes
+also draw blobs equal to the bytes already in place (a bulk write skips
+those) or starting with them, and copies draw page-aligned pairs
+(``dst - src`` a page multiple, the page-to-page path) as well as
+misaligned ones; overlapping copies must be refused.  The bytes must
+agree everywhere afterwards, the index must list exactly the
 materialized pages in ascending order, and the TZASC-filtered entry
 points must still refuse the non-secure world.
 """
@@ -29,13 +33,35 @@ address = st.one_of(
     st.builds(lambda b, off: b + off, st.sampled_from(BOUNDARIES), st.integers(-96, 96)),
 )
 blob = st.binary(max_size=160)
+#: a blob; the length of one equal to the bytes already in place; or the
+#: length of an in-place prefix and the tail that follows it.
+blob_or_in_place = st.one_of(
+    blob, st.integers(0, 160), st.tuples(st.integers(1, 80), st.binary(min_size=1, max_size=80))
+)
 world = st.sampled_from([S, N])
+span = st.integers(0, MiB + 3 * PG)
+#: ``(src, dst)`` whose distance is a whole number of pages: near two
+#: boundaries, where the writes land, or anywhere.
+aligned_pair = st.one_of(
+    st.builds(
+        lambda a, b, off: (a + off, b + off),
+        st.sampled_from(BOUNDARIES),
+        st.sampled_from(BOUNDARIES),
+        st.integers(-96, 96),
+    ),
+    st.builds(
+        lambda src, pages: (src, src + pages * PG),
+        address,
+        st.integers(-(TOTAL // PG) + 1, TOTAL // PG - 1).filter(bool),
+    ),
+)
 operation = st.one_of(
     st.tuples(st.just("raw_write"), address, blob),
-    st.tuples(st.just("write_many"), st.lists(st.tuples(address, blob), max_size=8)),
+    st.tuples(st.just("write_many"), st.lists(st.tuples(address, blob_or_in_place), max_size=8)),
     st.tuples(st.just("cpu_write"), address, blob, world),
-    st.tuples(st.just("scrub"), address, st.integers(0, MiB + 3 * PG), world),
-    st.tuples(st.just("copy"), address, address, st.integers(0, MiB + 3 * PG)),
+    st.tuples(st.just("scrub"), address, span, world),
+    st.tuples(st.just("copy"), address, address, span),
+    st.builds(lambda pair, size: ("copy",) + pair + (size,), aligned_pair, span),
 )
 
 
@@ -63,16 +89,24 @@ def apply(mem, ref, op):
             mem._raw_write(base, data)
             ref[base : base + len(data)] = data
     elif kind == "write_many":
-        _, pairs = op
-        fits = [base + len(data) <= TOTAL for base, data in pairs]
-        written = pairs if all(fits) else pairs[: fits.index(False)]
-        if all(fits):
+        _, drawn = op
+        pairs = []
+        fits = True
+        for base, data in drawn:
+            # What the blobs before it leave in place, whole or as a prefix.
+            if isinstance(data, int):
+                data = bytes(ref[base : base + data])
+            elif isinstance(data, tuple):
+                data = bytes(ref[base : base + data[0]]) + data[1]
+            pairs.append((base, data))
+            fits = fits and base + len(data) <= TOTAL
+            if fits:  # blobs before a rejected one stay written
+                ref[base : base + len(data)] = data
+        if fits:
             mem._raw_write_many((b for b, _ in pairs), (d for _, d in pairs))
         else:
             with pytest.raises(ConfigurationError):
                 mem._raw_write_many((b for b, _ in pairs), (d for _, d in pairs))
-        for base, data in written:  # blobs before a rejected one stay written
-            ref[base : base + len(data)] = data
     elif kind == "cpu_write":
         _, base, data, who = op
         if denied(base, len(data), who):
@@ -95,9 +129,8 @@ def apply(mem, ref, op):
             ref[base:end] = bytes(max(0, end - base))
     else:
         _, src, dst, size = op
-        if src < dst + size and dst < src + size:
-            return  # copy_range moves between disjoint ranges only
-        if max(src, dst) + size > TOTAL:
+        overlap = src < dst + size and dst < src + size
+        if overlap or min(src, dst) < 0 or max(src, dst) + size > TOTAL:
             with pytest.raises(ConfigurationError):
                 mem.copy_range(src, dst, size)
         else:
@@ -131,6 +164,63 @@ def test_scrub_then_rewrite_and_copy_across_chunk_boundaries():
         apply(mem, ref, op)
     assert mem._raw_read(0, TOTAL) == bytes(ref)
     assert mem._materialized == sorted(mem._pages)
+
+
+def test_copies_zero_stale_destination_pages_the_source_lacks():
+    mem = new_memory()
+    ref = bytearray(TOTAL)
+    for op in [
+        ("raw_write", 0, b"a" * PG),  # source page 0 only
+        ("raw_write", 2 * PG + 5, b"b" * 9),  # source page 2, partly
+        ("write_many", [(MiB + PG * i + 7, b"stale%d" % i) for i in range(4)]),
+        ("copy", 0, MiB, 4 * PG),  # pages 1 and 3 of the destination go stale
+    ]:
+        apply(mem, ref, op)
+    assert mem._raw_read(MiB + PG, PG) == bytes(PG)
+    assert mem._materialized == [0, 2, 256, 257, 258, 259]
+    # Misaligned: destination page 513 takes its first 100 bytes from the
+    # absent source page 3 and the rest from source page 4.
+    for op in [
+        ("raw_write", 4 * PG, b"c" * PG),
+        ("raw_write", 2 * MiB + PG, b"stale" * 20),
+        ("copy", 3 * PG, 2 * MiB + 100, 2 * PG),
+    ]:
+        apply(mem, ref, op)
+    assert mem._raw_read(2 * MiB + PG, 100) == bytes(100)
+    assert mem._raw_read(0, TOTAL) == bytes(ref)
+
+
+def test_aligned_copy_with_partial_edge_pages():
+    mem = new_memory()
+    ref = bytearray(TOTAL)
+    pattern = bytes(range(256)) * (3 * PG // 256)
+    for op in [
+        ("raw_write", PG, pattern),  # source pages 1-3, full
+        ("raw_write", 2 * MiB, b"x" * (5 * PG)),  # destination pages 512-516
+        # [PG + 100, 4 PG - 50) onto [2 MiB + 100, 2 MiB + 3 PG - 50): the
+        # edge pages keep their bytes outside the copied slice.
+        ("copy", PG + 100, 2 * MiB + 100, 3 * PG - 150),
+        # a source that ends inside a page, onto fresh destination pages
+        ("copy", PG + 10, 3 * MiB + 10, PG + 20),
+    ]:
+        apply(mem, ref, op)
+    assert mem._raw_read(0, TOTAL) == bytes(ref)
+    assert mem._raw_read(2 * MiB, 100) == b"x" * 100
+    assert mem._materialized == sorted(mem._pages)
+
+
+def test_overlapping_copy_is_refused():
+    mem = new_memory()
+    data = bytes(range(256)) * (PG // 256)
+    mem._raw_write(0, data)
+    with pytest.raises(ConfigurationError):
+        mem.copy_range(0, PG // 2, PG)  # would have read its own zeroing
+    with pytest.raises(ConfigurationError):
+        mem.copy_range(PG, 0, PG + 1)
+    assert mem._raw_read(0, PG) == data
+    mem.copy_range(0, PG, PG)  # adjacent ranges do not overlap
+    mem.copy_range(0, 0, 0)  # nor do empty ones
+    assert mem._raw_read(PG, PG) == data
 
 
 def test_bulk_write_checks_bounds_and_skips_empty_blobs():

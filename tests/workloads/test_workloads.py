@@ -186,6 +186,24 @@ def test_stress_spills_into_cma_and_survives_migration(stress_frames, full):
     stress.stop()
 
 
+def test_stress_check_reads_the_whole_pattern():
+    stack = build_stack(spec=RK3588.with_memory(64 * MiB), granule=MiB, os_footprint=0)
+    stress = MemoryStress(stack.kernel, 8 * MiB, headroom=0)
+    stress.start()
+    assert stress.verify_surviving_pages() == 8
+    frame = min(stress.allocs[0].frames)
+    addr = stack.kernel.db.frame_addr(frame)
+    assert stack.board.memory._raw_read(addr, 64) == (b"S%07d" % frame) * 8
+    # Byte 40 opens the sixth copy of the frame's 8-byte header.
+    stack.board.memory._raw_write(addr + 40, b"?")
+    with pytest.raises(AssertionError, match="frame %d corrupted" % frame):
+        stress.verify_surviving_pages()
+    stress.refresh()  # the sweep rewrites the page that lost its pattern
+    assert frame in stress.allocs[0].frames
+    assert stress.verify_surviving_pages() == 8
+    stress.stop()
+
+
 def test_stress_double_start_rejected():
     stack = build_stack(spec=RK3588.with_memory(64 * MiB), granule=MiB, os_footprint=0)
     stress = MemoryStress(stack.kernel, MiB)
