@@ -8,11 +8,15 @@ real ``cpu_read`` in the non-secure world, and it really raises
 
 Pages are materialized lazily (16 GiB of simulated RAM costs nothing
 until written), and an ascending index of the materialized page numbers
-lets zeroing and copying visit only the pages that hold bytes.  Page
-writes copy ``bytearray`` to ``bytearray`` where they can: CPython copies
-any other source into a temporary ``bytearray`` first.  There is no
-timing here — callers charge simulated time through their own cost
-models.
+lets zeroing and copying visit only the pages that hold bytes.  A page
+stores only its written extent, a ``bytearray`` of at most ``PAGE_SIZE``
+bytes; every byte past it reads as zero, so a stress-ng pattern costs
+its 64 bytes, not 4 KiB.  A page stays in the index once written, even
+when zeroing empties it.  A write clock records, in write order, the
+tick of each page's last write, so :meth:`PhysicalMemory.written_since`
+lists the pages written since a :meth:`~PhysicalMemory.write_mark` in
+time proportional to their number.  There is no timing here — callers
+charge simulated time through their own cost models.
 """
 
 from __future__ import annotations
@@ -27,9 +31,6 @@ from .tzasc import TZASC
 
 __all__ = ["PhysicalMemory"]
 
-#: the source of every zeroing (read only).
-_ZERO_PAGE = bytearray(PAGE_SIZE)
-
 
 class PhysicalMemory:
     """Sparse real-byte RAM; every access is TZASC-filtered."""
@@ -39,9 +40,14 @@ class PhysicalMemory:
             raise ConfigurationError("total_bytes must be a positive page multiple")
         self.total_bytes = total_bytes
         self.tzasc = tzasc if tzasc is not None else TZASC()
+        #: page number -> the page's written extent.
         self._pages: Dict[int, bytearray] = {}
         #: the keys of ``_pages``, ascending.
         self._materialized: List[int] = []
+        #: page number -> the tick of its last write, in tick order.
+        self._written: Dict[int, int] = {}
+        #: the tick writes are stamped with; each mark starts a new one.
+        self._tick = 0
 
     # ------------------------------------------------------------------
     # bounds + raw access
@@ -53,11 +59,13 @@ class PhysicalMemory:
             )
 
     def _page(self, index: int) -> bytearray:
+        """The page ``index``, materialized and stamped as written."""
         page = self._pages.get(index)
         if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[index] = page
+            page = self._pages[index] = bytearray()
             insort(self._materialized, index)
+        self._written.pop(index, None)
+        self._written[index] = self._tick
         return page
 
     def _materialized_in(self, base: int, size: int) -> List[int]:
@@ -67,19 +75,41 @@ class PhysicalMemory:
         hi = bisect_left(index, -(-(base + size) // PAGE_SIZE))
         return index[lo:hi]
 
+    def write_mark(self) -> int:
+        """A mark for :meth:`written_since`: later writes come after it."""
+        mark = self._tick
+        self._tick += 1
+        return mark
+
+    def written_since(self, mark: int) -> List[int]:
+        """The pages written since ``mark``, newest first.  A page whose
+        bytes changed is listed; one written with the bytes it held may be."""
+        pages = []
+        for index, tick in reversed(self._written.items()):
+            if tick <= mark:
+                break
+            pages.append(index)
+        return pages
+
     def _raw_read(self, base: int, size: int) -> bytes:
         self._check_bounds(base, size)
+        page_index, offset = divmod(base, PAGE_SIZE)
+        if offset + size <= PAGE_SIZE:
+            page = self._pages.get(page_index)
+            if page is None:
+                return bytes(size)
+            return bytes(page[offset : offset + size]).ljust(size, b"\0")
         out = bytearray(size)
         pos = 0
-        addr = base
         while pos < size:
-            page_index, offset = divmod(addr, PAGE_SIZE)
             chunk = min(size - pos, PAGE_SIZE - offset)
             page = self._pages.get(page_index)
             if page is not None:
-                out[pos : pos + chunk] = page[offset : offset + chunk]
+                stored = page[offset : offset + chunk]
+                out[pos : pos + len(stored)] = stored
             pos += chunk
-            addr += chunk
+            page_index += 1
+            offset = 0
         return bytes(out)
 
     def _raw_write(self, base: int, data: bytes) -> None:
@@ -90,7 +120,10 @@ class PhysicalMemory:
         while pos < size:
             page_index, offset = divmod(addr, PAGE_SIZE)
             chunk = min(size - pos, PAGE_SIZE - offset)
-            self._page(page_index)[offset : offset + chunk] = data[pos : pos + chunk]
+            page = self._page(page_index)
+            if len(page) < offset:
+                page.extend(bytes(offset - len(page)))
+            page[offset : offset + chunk] = data[pos : pos + chunk]
             pos += chunk
             addr += chunk
 
@@ -98,14 +131,14 @@ class PhysicalMemory:
         """``_raw_write(address, blob)`` for each pair, in one pass.
 
         For many small blobs (stress-ng's per-frame patterns): a blob
-        inside one page is one slice assignment, skipped when the page
-        already holds it; one that crosses a page boundary takes
-        :meth:`_raw_write`.  A blob still materializes a missing page.
-        Bounds are checked per blob, and blobs before a rejected one stay
-        written.
+        inside one page is one slice assignment; one that crosses a page
+        boundary takes :meth:`_raw_write`.  Bounds are checked per blob,
+        and blobs before a rejected one stay written.
         """
         total = self.total_bytes
         pages = self._pages
+        written = self._written
+        tick = self._tick
         fresh: List[int] = []
         try:
             for base, data in zip(addresses, blobs):
@@ -120,11 +153,13 @@ class PhysicalMemory:
                     continue
                 page = pages.get(page_index)
                 if page is None:
-                    page = pages[page_index] = bytearray(PAGE_SIZE)
+                    page = pages[page_index] = bytearray(offset)
                     fresh.append(page_index)
-                elif page.startswith(data, offset):
-                    continue
+                elif len(page) < offset:
+                    page.extend(bytes(offset - len(page)))
                 page[offset : offset + size] = data
+                written.pop(page_index, None)
+                written[page_index] = tick
         finally:
             if fresh:
                 self._materialized += fresh
@@ -163,20 +198,22 @@ class PhysicalMemory:
         self._zero_raw(base, size)
 
     def _zero_raw(self, base: int, size: int, keep: Container[int] = ()) -> None:
-        """Zero ``[base, base + size)``, except in the pages in ``keep``."""
+        """Zero ``[base, base + size)``, except in the pages in ``keep``.
+        A slice that reaches a page's extent truncates the page."""
         if size <= 0:
             return
         end = base + size
-        pages = self._pages
         for page_index in self._materialized_in(base, size):
             if page_index in keep:
                 continue
+            page = self._page(page_index)
             page_base = page_index * PAGE_SIZE
             start = max(base - page_base, 0)
-            stop = min(end - page_base, PAGE_SIZE)
-            pages[page_index][start:stop] = (
-                _ZERO_PAGE if stop - start == PAGE_SIZE else _ZERO_PAGE[start:stop]
-            )
+            stop = end - page_base
+            if stop >= len(page):
+                del page[start:]
+            else:
+                page[start:stop] = bytes(stop - start)
 
     def copy_range(self, src: int, dst: int, size: int) -> None:
         """Raw copy between disjoint ranges that skips never-materialized
@@ -186,8 +223,8 @@ class PhysicalMemory:
         Used by page migration: copying a mostly-untouched granule costs
         nothing, exactly like copying zero pages costs the real kernel a
         memset it would do anyway.  When ``dst - src`` is a page multiple,
-        as in every migration, each materialized source page lands on one
-        destination page, copied page to page.
+        as in every migration, each whole materialized source page lands
+        on one destination page as its extent.
         """
         self._check_bounds(src, size)
         self._check_bounds(dst, size)
@@ -205,13 +242,14 @@ class PhysicalMemory:
         end = src + size
         pages = self._pages
         for page_index in sources:
-            page = pages[page_index]
             page_base = page_index * PAGE_SIZE
             start = max(src - page_base, 0)
             stop = min(end - page_base, PAGE_SIZE)
-            if misaligned:
-                self._raw_write(page_base + start + delta, page[start:stop])
-            elif stop - start == PAGE_SIZE:
-                self._page(page_index + shift)[:] = page
+            if stop - start == PAGE_SIZE and not misaligned:
+                self._page(page_index + shift)[:] = pages[page_index]
             else:
-                self._page(page_index + shift)[start:stop] = page[start:stop]
+                # An edge or misaligned slice is written in full, zeros
+                # past the source's extent included, so every destination
+                # page it covers is materialized.
+                data = self._raw_read(page_base + start, stop - start)
+                self._raw_write(page_base + start + delta, data)

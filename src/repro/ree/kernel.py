@@ -140,7 +140,3 @@ class REEKernel:
     @property
     def used_bytes(self) -> int:
         return self.db.used_bytes
-
-    def memory_pressure(self) -> float:
-        """Fraction of RAM in use."""
-        return self.used_bytes / self.db.total_bytes

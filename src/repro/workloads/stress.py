@@ -17,18 +17,22 @@ Two behaviours mirror the real tool:
   loop.
 
 Each frame's pattern is eight copies of an 8-byte header naming the
-frame.  A sweep writes a pattern only where the frame's page does not
-already hold it.  Functional checks: the stressor can verify its
-surviving pages still hold whole patterns after migrations (migration
-must copy, not corrupt).
+frame, at the start of its first page.  The stressor remembers which
+frames held their own pattern at its last sweep, and physical memory's
+write clock names the pages written since, so a sweep stamps only the
+frames it maps that are new to it or whose first page was written in
+between.  Functional checks: the stressor can verify its surviving
+pages still hold whole patterns after migrations (migration must copy,
+not corrupt).
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from operator import mul
-from typing import List
+from typing import List, Set
 
+from ..config import PAGE_SIZE
 from ..errors import ConfigurationError
 from ..ree.kernel import REEKernel
 from ..ree.pages import Allocation
@@ -38,16 +42,6 @@ __all__ = ["MemoryStress"]
 _PATTERN_STRIDE = 64
 #: copies of a frame's 8-byte header in its pattern.
 _HEADER_COPIES = _PATTERN_STRIDE // 8
-
-
-class _Headers(dict):
-    """frame -> its pattern header (``S`` and 7 digits), formatted on
-    first use: a header depends on its frame alone, so the cache holds
-    at most one entry per frame of RAM."""
-
-    def __missing__(self, frame: int) -> bytes:
-        header = self[frame] = b"S%07d" % (frame % 10_000_000)
-        return header
 
 
 def _is_pattern(data: bytes) -> bool:
@@ -76,7 +70,9 @@ class MemoryStress:
         self.headroom = headroom
         self.allocs: List[Allocation] = []
         self._running = False
-        self._headers = _Headers()
+        #: frames whose first page held their own pattern at ``_mark``.
+        self._stamped: Set[int] = set()
+        self._mark = kernel.board.memory.write_mark()
 
     # ------------------------------------------------------------------
     @property
@@ -118,24 +114,24 @@ class MemoryStress:
         alloc = self.kernel.map_anonymous(want, tag=self.tag)
         self.kernel.buddy.register_reclaimable(alloc)
         self.allocs.append(alloc)
-        frames = alloc.frames
-        self.kernel.board.memory._raw_write_many(
-            map(mul, frames, repeat(granule)),
-            map(mul, map(self._headers.__getitem__, frames), repeat(_HEADER_COPIES)),
+        memory = self.kernel.board.memory
+        # Pages never dematerialize, so a stamped frame keeps its pattern
+        # until its first page is written.
+        pages_per_frame = granule // PAGE_SIZE
+        self._stamped.difference_update(
+            page // pages_per_frame
+            for page in memory.written_since(self._mark)
+            if page % pages_per_frame == 0
         )
+        stale = alloc.frames - self._stamped
+        memory._raw_write_many(
+            map(mul, stale, repeat(granule)),
+            ((b"S%07d" % (frame % 10_000_000)) * _HEADER_COPIES for frame in stale),
+        )
+        self._stamped |= stale
+        self._mark = memory.write_mark()
 
     # ------------------------------------------------------------------
-    def frames_in_cma(self) -> int:
-        count = 0
-        for region in self.kernel.cma_regions.values():
-            for alloc in self.allocs:
-                if alloc.freed:
-                    continue
-                count += sum(
-                    1 for f in alloc.frames if region.start_frame <= f < region.end_frame
-                )
-        return count
-
     def verify_surviving_pages(self) -> int:
         """Check that every still-mapped page holds a whole stress pattern
         (migration must have copied the data).  Returns pages checked."""

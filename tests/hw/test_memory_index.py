@@ -3,13 +3,15 @@
 A small PhysicalMemory and a flat bytearray take the same random
 operations — raw, bulk and CPU writes, scrubs and copies, with ranges
 that cross page and 1 MiB boundaries or were never written.  Bulk writes
-also draw blobs equal to the bytes already in place (a bulk write skips
-those) or starting with them, and copies draw page-aligned pairs
+also draw blobs equal to the bytes already in place or starting with
+them, and copies draw page-aligned pairs
 (``dst - src`` a page multiple, the page-to-page path) as well as
 misaligned ones; overlapping copies must be refused.  The bytes must
-agree everywhere afterwards, the index must list exactly the
-materialized pages in ascending order, and the TZASC-filtered entry
-points must still refuse the non-secure world.
+agree everywhere afterwards (a page stores only its written extent, and
+reads as zero past it), the index must list exactly the materialized
+pages in ascending order, and the TZASC-filtered entry points must still
+refuse the non-secure world.  After every operation, the write clock
+must list each page whose bytes it changed, and only materialized pages.
 """
 
 import pytest
@@ -77,8 +79,29 @@ def denied(base, size, who):
     )
 
 
+def changed_pages(before, after):
+    """The pages whose bytes differ between two flat images."""
+    if before == after:
+        return set()
+    return {
+        p
+        for p in range(TOTAL // PG)
+        if before[p * PG : (p + 1) * PG] != after[p * PG : (p + 1) * PG]
+    }
+
+
 def apply(mem, ref, op):
-    """Apply ``op`` to the memory and, as it should act, to ``ref``."""
+    """Apply ``op`` to the memory and, as it should act, to ``ref``; the
+    write clock must then list every page whose bytes changed."""
+    mark = mem.write_mark()
+    before = bytes(ref)
+    act(mem, ref, op)
+    written = set(mem.written_since(mark))
+    assert changed_pages(before, ref) <= written
+    assert written <= set(mem._pages)
+
+
+def act(mem, ref, op):
     kind = op[0]
     if kind == "raw_write":
         _, base, data = op
@@ -221,6 +244,56 @@ def test_overlapping_copy_is_refused():
     mem.copy_range(0, PG, PG)  # adjacent ranges do not overlap
     mem.copy_range(0, 0, 0)  # nor do empty ones
     assert mem._raw_read(PG, PG) == data
+
+
+def test_scrub_that_empties_a_short_page_keeps_it_indexed():
+    mem = new_memory()
+    ref = bytearray(TOTAL)
+    for op in [
+        ("raw_write", 3 * PG + 8, b"short"),
+        ("scrub", 3 * PG + 4, 16, S),  # reaches the extent's end: truncated
+        ("write_many", [(7 * PG, b"x" * 100)]),
+        ("scrub", 7 * PG + 10, 20, S),  # inside the extent: zeroed in place
+    ]:
+        apply(mem, ref, op)
+    assert len(mem._pages[3]) == 4 and len(mem._pages[7]) == 100
+    mark = mem.write_mark()
+    apply(mem, ref, ("scrub", 0, MiB, S))
+    assert mem._pages[3] == mem._pages[7] == b""
+    assert mem._materialized == [3, 7]
+    assert set(mem.written_since(mark)) == {3, 7}
+    assert mem._raw_read(0, TOTAL) == bytes(TOTAL)
+
+
+def test_writes_past_a_page_extent_read_zeros_in_the_gap():
+    mem = new_memory()
+    ref = bytearray(TOTAL)
+    for op in [
+        ("raw_write", 5 * PG, b"abc"),
+        ("raw_write", 5 * PG + 100, b"xyz"),
+        ("write_many", [(6 * PG, b"ab"), (6 * PG + 3000, b"cd")]),
+        ("write_many", [(8 * PG + 40, b"fresh")]),  # a fresh page past offset 0
+    ]:
+        apply(mem, ref, op)
+    assert mem._raw_read(5 * PG, 103) == b"abc" + bytes(97) + b"xyz"
+    assert mem._raw_read(6 * PG + 2, 3000) == bytes(2998) + b"cd"
+    assert mem._raw_read(8 * PG, PG) == bytes(40) + b"fresh" + bytes(PG - 45)
+    assert [len(mem._pages[p]) for p in (5, 6, 8)] == [103, 3002, 45]
+    assert mem._raw_read(0, TOTAL) == bytes(ref)
+
+
+def test_aligned_copy_of_a_short_page_onto_a_longer_stale_one():
+    mem = new_memory()
+    ref = bytearray(TOTAL)
+    for op in [
+        ("raw_write", 0, b"s" * 10),  # short source page 0
+        ("raw_write", MiB, b"L" * PG),  # long stale destination page 256
+        ("copy", 0, MiB, PG),
+    ]:
+        apply(mem, ref, op)
+    assert mem._raw_read(MiB, PG) == b"s" * 10 + bytes(PG - 10)
+    assert mem._pages[256] == b"s" * 10
+    assert mem._raw_read(0, TOTAL) == bytes(ref)
 
 
 def test_bulk_write_checks_bounds_and_skips_empty_blobs():

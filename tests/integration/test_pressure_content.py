@@ -1,17 +1,23 @@
 """Content differential of the memory work on the restore path under pressure.
 
-``MemoryStress`` sweeps write a frame's pattern only where its page does
-not already hold it (``PhysicalMemory._raw_write_many`` skips such a
-blob), and CMA migration copies a granule page to page, zeroing only the
-stale destination pages no source page covers (``copy_range``).  The
-reference writes every blob through ``_raw_write`` and copies by first
-zeroing the destination's materialized pages, then writing each
-materialized source page's slice.  Several sweeps and cold restores on a
-small pressured stack must leave every page's bytes and the materialized
-index after each sweep and each restore, and the inference records and
-the clock, exactly as the reference leaves them.  (A restore's
-migrations overwrite the frames a sweep found stale, so the bytes are
-compared after the sweep too.)
+A ``MemoryStress`` sweep stamps only the frames new to it or whose first
+page physical memory's write clock lists as written since its last sweep
+(``PhysicalMemory.written_since``), and CMA migration copies a granule
+page to page, zeroing only the stale destination pages no source page
+covers (``copy_range``).  The reference trusts no clock: every
+materialized page counts as written, so each sweep stamps every mapped
+frame, one ``_raw_write`` per blob, and a copy first zeroes the
+destination's materialized pages, then writes each materialized source
+page's slice.  Several sweeps and cold restores on a small pressured
+stack must leave every page's bytes (read as whole pages, zeros past a
+page's stored extent included) and the materialized index after each
+sweep and each restore, and the inference records and the clock, exactly
+as the reference leaves them.  A write path that forgets to move the
+clock leaves a stale frame unstamped, which shows as a byte difference.
+(A restore's migrations overwrite the frames a sweep found stale, so the
+bytes are compared after the sweep too.)  After each sweep every mapped
+frame must also start with its own pattern: the stressor's check accepts
+any frame's pattern, as a migrated page rightly keeps its source's.
 """
 
 import hashlib
@@ -24,6 +30,11 @@ from repro.hw import PhysicalMemory
 REQUESTS = [(64, 2), (300, 1), (17, 3), (500, 1)]
 
 
+def every_page_written(self, mark):
+    """``written_since`` without the clock: every materialized page."""
+    return list(self._materialized)
+
+
 def write_each(self, addresses, blobs):
     """``_raw_write_many`` as one ``_raw_write`` per blob."""
     for base, data in zip(addresses, blobs):
@@ -32,24 +43,39 @@ def write_each(self, addresses, blobs):
 
 def zero_then_write(self, src, dst, size):
     """``copy_range`` as plain writes: zero the destination, then copy."""
-    pages = self._pages
     for index in self._materialized_in(dst, size):
         start = max(dst, index * PAGE_SIZE)
         stop = min(dst + size, (index + 1) * PAGE_SIZE)
         self._raw_write(start, bytes(stop - start))
     for index in self._materialized_in(src, size):
-        page_base = index * PAGE_SIZE
-        start = max(src, page_base)
-        stop = min(src + size, page_base + PAGE_SIZE)
-        self._raw_write(dst + start - src, bytes(pages[index][start - page_base : stop - page_base]))
+        start = max(src, index * PAGE_SIZE)
+        stop = min(src + size, (index + 1) * PAGE_SIZE)
+        self._raw_write(dst + start - src, self._raw_read(start, stop - start))
+
+
+def page_bytes(memory, index):
+    """The whole page ``index``."""
+    return memory._raw_read(index * PAGE_SIZE, PAGE_SIZE)
 
 
 def snapshot(memory):
     """The materialized page numbers and a digest of their bytes."""
     digest = hashlib.blake2b()
     for index in memory._materialized:
-        digest.update(memory._pages[index])
+        digest.update(page_bytes(memory, index))
     return list(memory._materialized), digest.hexdigest()
+
+
+def frames_without_their_pattern(stress):
+    """The mapped frames whose first 64 bytes are not their own pattern."""
+    memory = stress.kernel.board.memory
+    return sorted(
+        frame
+        for alloc in stress.allocs
+        if not alloc.freed
+        for frame in alloc.frames
+        if memory._raw_read(stress.kernel.db.frame_addr(frame), 64) != (b"S%07d" % frame) * 8
+    )
 
 
 def sweeps_and_restores():
@@ -62,6 +88,7 @@ def sweeps_and_restores():
     records, surviving, snapshots = [], [], [snapshot(memory)]
     for prompt_tokens, output_tokens in REQUESTS:
         stress.refresh()
+        assert frames_without_their_pattern(stress) == []
         snapshots.append(snapshot(memory))
         records.append(system.run_infer(prompt_tokens, output_tokens))
         snapshots.append(snapshot(memory))
@@ -72,13 +99,14 @@ def sweeps_and_restores():
         "surviving": surviving,
         "reclaimed": system.stack.kernel.buddy.reclaimed_frames,
         "snapshots": snapshots,
-        "pages": {index: bytes(page) for index, page in memory._pages.items()},
+        "pages": {index: page_bytes(memory, index) for index in memory._pages},
     }
 
 
 def test_sweeps_and_restores_match_plain_writes(monkeypatch):
     shipped = sweeps_and_restores()
     with monkeypatch.context() as patch:
+        patch.setattr(PhysicalMemory, "written_since", every_page_written)
         patch.setattr(PhysicalMemory, "_raw_write_many", write_each)
         patch.setattr(PhysicalMemory, "copy_range", zero_then_write)
         reference = sweeps_and_restores()

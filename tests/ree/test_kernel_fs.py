@@ -23,7 +23,7 @@ def test_boot_charges_os_footprint():
     _sim, kernel = make_kernel(os_footprint=8 * PG)
     kernel.boot()
     assert kernel.used_bytes == 8 * PG
-    assert kernel.memory_pressure() == pytest.approx(8 / 128)
+    assert kernel.used_bytes / kernel.db.total_bytes == pytest.approx(8 / 128)
 
 
 def test_cma_reservations_stack_downward():

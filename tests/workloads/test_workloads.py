@@ -168,8 +168,8 @@ def test_stress_spills_into_cma_and_survives_migration(stress_frames, full):
     )
     stress = MemoryStress(stack.kernel, stress_frames * PAGE_SIZE, headroom=0)
     stress.start()
-    assert stress.frames_in_cma() > 0
     region = stack.kernel.cma_regions["params"]
+    assert any(region.start_frame <= f < region.end_frame for f in stress.allocs[0].frames)
     # The spill fills the region from its top, so carve the top run.
     proc = stack.sim.process(
         region.allocate_range(region.end_frame - 16, 16, threads=1)
