@@ -150,7 +150,8 @@ def test_serve_gateway(benchmark):
 
     # Everyone got served (shedding is off for a like-for-like comparison).
     for _mode, (gateway, loadgen) in results.items():
-        assert len(gateway.completed) == loadgen.offered == len(TRACE)
+        completed = sum(len(stats.observed) for stats in gateway.accountant.classes.values())
+        assert completed == loadgen.offered == len(TRACE)
 
     p95_fifo = fifo.accountant.summary(PriorityClass.INTERACTIVE, "ttft").p95
     p95_prio = prio.accountant.summary(PriorityClass.INTERACTIVE, "ttft").p95

@@ -560,12 +560,8 @@ class DecodeBatchEngine:
                 batch = [s for s in self.active if s.prefill_remaining <= 0]
                 if batch:
                     graph = self._decode_graph([seq.kv.tokens for seq in batch])
-                    start = self.sim.now
-                    cpu0 = executor.cpu_busy_time
-                    npu0 = executor.npu_busy_time
-                    smc0 = executor.npu_overhead_time
                     try:
-                        yield from executor.execute(graph)
+                        step_time, attribution = yield from executor.step(graph)
                     except Exception as exc:
                         # A faulted fused step (TEE job hang, watchdog)
                         # fails every sequence it was computing: each
@@ -579,21 +575,12 @@ class DecodeBatchEngine:
                                 self.active.remove(seq)
                             self._retire(seq, "failed", error=exc)
                         continue
-                    step_time = self.sim.now - start
-                    cpu_d = executor.cpu_busy_time - cpu0
-                    npu_d = executor.npu_busy_time - npu0
-                    smc_d = executor.npu_overhead_time - smc0
                     # Fair-share attribution: each sequence carries an
                     # equal slice of the fused step, so summed
                     # attributions across the batch reconstruct the wall
                     # time.
                     share = 1.0 / len(batch)
-                    attribution = {
-                        "cpu": cpu_d * share,
-                        "npu_compute": npu_d * share,
-                        "smc": smc_d * share,
-                        "sched_wait": max(0.0, step_time - cpu_d - npu_d - smc_d) * share,
-                    }
+                    attribution = {key: value * share for key, value in attribution.items()}
                     self._note_step(len(batch), step_time)
                     for seq in batch:
                         seq.token_ids.append(

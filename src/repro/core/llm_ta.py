@@ -26,7 +26,7 @@ from ..hw.common import AddrRange
 from ..llm.checkpoint import cold_init, restore_checkpoint, save_checkpoint
 from ..llm.gguf import ModelContainer, container_path
 from ..llm.graph import build_chunked_prefill_graph, build_prefill_graph
-from ..llm.kv_cache import KVCache, PagedKVCache, PromptSpec
+from ..llm.kv_cache import PagedKVCache, PromptSpec
 from ..llm.models import ModelSpec
 from ..llm.runtime import (
     DecodeResult,
@@ -232,9 +232,6 @@ class LLMTA(TrustedApplication):
         self._framework_resident = False
         #: gateway-held KV block reservations awaiting their dispatch.
         self._kv_reservations: Dict[int, int] = {}
-        #: the legacy (unbatched) path's live KV cache, if any — exposed
-        #: through ``kv_bytes_in_use`` so leak regressions are observable.
-        self._active_kv: Optional[KVCache] = None
         # Regions, plan and backend are wired by setup().
         self.plan: Optional[RestorationPlan] = None
         self.params_region: Optional[SecureRegion] = None
@@ -337,16 +334,14 @@ class LLMTA(TrustedApplication):
 
     @property
     def kv_bytes_in_use(self) -> int:
-        """Logical KV footprint across both decode paths: the legacy
-        path's live cache plus every pool block (active *and* parked).
-        The leak-regression tests pin this to zero after any faulted
+        """Logical KV footprint: every block of the batch engine's pool
+        (active *and* parked); 0 without a batch engine, whose
+        single-stream KV lives only inside its decode loop.  The
+        leak-regression tests pin this to zero after any faulted
         inference."""
-        total = 0
-        if self._active_kv is not None:
-            total += self._active_kv.bytes_used
-        if self.batch_engine is not None:
-            total += self.batch_engine.pool.bytes_used
-        return total
+        if self.batch_engine is None:
+            return 0
+        return self.batch_engine.pool.bytes_used
 
     # ------------------------------------------------------------------
     # batched-mode admission surface (called synchronously by dispatch)
@@ -471,9 +466,9 @@ class LLMTA(TrustedApplication):
             max_reissues=self.recovery.npu_max_reissues,
         )
 
-        def grow_kv(kv):
+        def grow_kv(tokens):
             """Extend the data region as the KV cache outgrows it."""
-            needed = fixed_bytes + self.model.kv_bytes(kv.tokens + 1)
+            needed = fixed_bytes + self.model.kv_bytes(tokens + 1)
             if needed > self.data_region.allocated:
                 delta = -(-(needed - self.data_region.allocated) // granule) * granule
                 yield from self.data_region.extend_allocated(delta, threads=1)
@@ -488,46 +483,34 @@ class LLMTA(TrustedApplication):
             use_npu=self.use_npu,
             platform=self.platform,
         )
-        kv: Optional[KVCache] = None
         try:
-            try:
-                yield from self._prefill(graph, self._npu_backend, record, ctx)
-                record.ttft = sim.now - record.started_at
-                record.first_token_at = sim.now
+            yield from self._prefill(graph, self._npu_backend, record, ctx)
+            record.ttft = sim.now - record.started_at
+            record.first_token_at = sim.now
 
-                # --- decode ---------------------------------------------------
-                if output_tokens > 0:
-                    executor = GraphExecutor(sim, self.platform, self.cpu, self._npu_backend)
-                    kv = KVCache(self.model, self.max_tokens)
-                    self._active_kv = kv
-                    kv.init_prompt(prompt_tokens)
-                    hook = grow_kv
-                    if self.decode_param_residency < 1.0:
-                        hook = yield from self._enter_streaming_decode(record, grow_kv)
-                    record.decode = yield from decode_tokens(
-                        executor,
-                        self.model,
-                        self.container.tensors,
-                        kv,
-                        output_tokens,
-                        use_npu=self.decode_use_npu,
-                        grow_hook=hook,
-                        stop_hook=preempt,
-                    )
-                    record.preempted = record.decode.stopped_early
-            except Exception:
-                # Failed restoration (I/O error, Iago detection): release
-                # all transient memory so the TA stays serviceable, then
-                # surface the error to the CA.
-                yield from self._recover()
-                raise
-        finally:
-            # The KV capacity must come back on *every* exit — success,
-            # preemption, or a fault thrown out of the decode loop (TEE
-            # job hang, watchdog ABANDONED, mid-decode OutOfMemory).
-            if kv is not None:
-                kv.reset()
-            self._active_kv = None
+            # --- decode -------------------------------------------------------
+            if output_tokens > 0:
+                executor = GraphExecutor(sim, self.platform, self.cpu, self._npu_backend)
+                hook = grow_kv
+                if self.decode_param_residency < 1.0:
+                    hook = yield from self._enter_streaming_decode(record, grow_kv)
+                record.decode = yield from decode_tokens(
+                    executor,
+                    self.model,
+                    self.container.tensors,
+                    prompt_tokens,
+                    output_tokens,
+                    use_npu=self.decode_use_npu,
+                    grow_hook=hook,
+                    stop_hook=preempt,
+                )
+                record.preempted = record.decode.stopped_early
+        except Exception:
+            # Failed restoration (I/O error, Iago detection): release
+            # all transient memory so the TA stays serviceable, then
+            # surface the error to the CA.
+            yield from self._recover()
+            raise
 
         # --- release ----------------------------------------------------------
         t0 = sim.now
@@ -583,6 +566,37 @@ class LLMTA(TrustedApplication):
             owner = "%s/r%s" % (tenant, request_id)
         else:
             owner = ""
+
+        def take_prompt(spec: Optional[PromptSpec]):
+            """Build the request's paged cache on its gateway hold and take
+            the prompt's blocks: through the prefix tree for ``spec``
+            (recording hit, cow and miss tokens; returns the
+            :class:`ShareResult`), else freshly allocated."""
+            nonlocal kv, reserved
+            kv = PagedKVCache(engine.pool, reserved_blocks=reserved, owner=owner)
+            reserved = 0  # the cache owns the hold now
+            if spec is None:
+                kv.init_prompt(prompt_tokens)
+                return None
+            share = kv.init_prompt_shared(spec, engine.tree)
+            record.kv_hit_tokens = share.hit_tokens
+            record.kv_cow_tokens = share.cow_tokens
+            record.kv_miss_tokens = share.miss_tokens
+            return share
+
+        def set_up_data():
+            """Back the job context and scratch, pay the KV/activation
+            set-up, then re-snapshot the cache state (generator): a
+            concurrent request's pipeline may have loaded (and protected)
+            groups since this record was created, and re-loading a
+            protected group would trap."""
+            t0 = sim.now
+            yield from engine.ensure_backing()
+            yield sim.timeout(self.platform.timing.kv_activation_alloc)
+            record.data_setup_time = sim.now - t0
+            record.cached_groups = self.cached_groups
+            record.cached_bytes = self.params_region.protected
+
         try:
             if parked is not None:
                 record.resumed = True
@@ -598,18 +612,8 @@ class LLMTA(TrustedApplication):
                 # is nothing to restore and nothing serializes on the
                 # prefill lock.  Shared blocks arrive by reference; the
                 # miss suffix prefills as chunks inside the decode batch.
-                kv = PagedKVCache(engine.pool, reserved_blocks=reserved, owner=owner)
-                reserved = 0  # the cache owns the hold now
-                share = kv.init_prompt_shared(prompt, engine.tree)
-                record.kv_hit_tokens = share.hit_tokens
-                record.kv_cow_tokens = share.cow_tokens
-                record.kv_miss_tokens = share.miss_tokens
-                t0 = sim.now
-                yield from engine.ensure_backing()
-                yield sim.timeout(self.platform.timing.kv_activation_alloc)
-                record.data_setup_time = sim.now - t0
-                record.cached_groups = self.cached_groups
-                record.cached_bytes = self.params_region.protected
+                share = take_prompt(prompt)
+                yield from set_up_data()
                 if output_tokens > 0 or share.miss_tokens > 0:
                     seq = engine.join(
                         kv,
@@ -633,28 +637,14 @@ class LLMTA(TrustedApplication):
                         yield from self._init_framework()
                         self._framework_resident = True
                     record.init_time = sim.now - t0
-                    t0 = sim.now
-                    yield from engine.ensure_backing()  # job ctx + scratch
-                    yield sim.timeout(self.platform.timing.kv_activation_alloc)
-                    record.data_setup_time = sim.now - t0
-                    # Re-snapshot the cache state *under the lock*: a
-                    # concurrent request's pipeline may have loaded (and
-                    # protected) groups since this record was created,
-                    # and re-loading a protected group would trap.
-                    record.cached_groups = self.cached_groups
-                    record.cached_bytes = self.params_region.protected
+                    # Under the lock, so the re-snapshot sees every group
+                    # a concurrent pipeline protected.
+                    yield from set_up_data()
                     if sharing:
                         # Take the shared blocks first so the pipeline
                         # only prices the miss suffix (restoration still
                         # overlaps what compute remains).
-                        kv = PagedKVCache(
-                            engine.pool, reserved_blocks=reserved, owner=owner
-                        )
-                        reserved = 0
-                        share = kv.init_prompt_shared(prompt, engine.tree)
-                        record.kv_hit_tokens = share.hit_tokens
-                        record.kv_cow_tokens = share.cow_tokens
-                        record.kv_miss_tokens = share.miss_tokens
+                        share = take_prompt(prompt)
                         graph = build_chunked_prefill_graph(
                             self.model,
                             self.container.tensors,
@@ -685,9 +675,7 @@ class LLMTA(TrustedApplication):
                 record.ttft = sim.now - record.started_at
                 record.first_token_at = sim.now
                 if kv is None:
-                    kv = PagedKVCache(engine.pool, reserved_blocks=reserved, owner=owner)
-                    reserved = 0  # the cache owns the hold now
-                    kv.init_prompt(prompt_tokens)
+                    take_prompt(None)
                 yield from engine.ensure_backing()
                 if output_tokens > 0:
                     seq = engine.join(
@@ -826,8 +814,8 @@ class LLMTA(TrustedApplication):
 
         state = {"pending": None}
 
-        def streaming_hook(kv):
-            yield from grow_kv(kv)
+        def streaming_hook(tokens):
+            yield from grow_kv(tokens)
             if streamed_nominal == 0:
                 return
             # This token needs its sweep complete before computing: the

@@ -14,7 +14,7 @@ policy:
   computation operator runs — a ready decryption (its group is already
   loaded, so its compute op is earliest) before an allocation;
 * allocation and decryption are split into micro-operators
-  (``slice_bytes``); between micro-ops the worker checks for a newly
+  (``SLICE_BYTES``); between micro-ops the worker checks for a newly
   ready computation operator and yields to it (preemption, Fig. 5d) —
   disable with ``preemptive=False`` for the Fig. 13 ablation, or set
   ``pipelined=False`` for the strawman's sequential restore-then-compute.
@@ -48,19 +48,18 @@ from .restore_graph import RestorationPlan
 __all__ = ["PipelineConfig", "PipelineMetrics", "PrefillPipeline"]
 
 
+#: size of one allocation or decryption micro-operator.
+SLICE_BYTES = 32 * MiB
+#: the prototype migrates CMA pages on one thread (the paper measures
+#: 1.9 GB/s single-thread; multi-threading is the §2.4.2 option).
+ALLOC_THREADS = 1
+DECRYPT_THREADS = 4
+
+
 @dataclass
 class PipelineConfig:
     pipelined: bool = True
     preemptive: bool = True
-    slice_bytes: int = 32 * MiB
-    #: the prototype migrates CMA pages on one thread (the paper measures
-    #: 1.9 GB/s single-thread; multi-threading is the §2.4.2 option).
-    alloc_threads: int = 1
-    decrypt_threads: int = 4
-
-    def __post_init__(self):
-        if self.slice_bytes <= 0:
-            raise ConfigurationError("slice_bytes must be positive")
 
 
 @dataclass
@@ -245,7 +244,7 @@ class PrefillPipeline:
         groups = self.plan.groups
         for g in range(self.cached_groups, len(groups)):
             t0 = self.sim.now
-            yield from self.backend.alloc_to(groups[g].region_end, self.config.alloc_threads)
+            yield from self.backend.alloc_to(groups[g].region_end, ALLOC_THREADS)
             self.metrics.alloc_time += self.sim.now - t0
             self._alloc_done[g].succeed()
         for g in range(self.cached_groups, len(groups)):
@@ -258,7 +257,7 @@ class PrefillPipeline:
             t0 = self.sim.now
             yield from self.backend.protect_to(groups[g].region_end)
             duration = self.backend.decrypt_duration(
-                groups[g].nominal_bytes, self.config.decrypt_threads
+                groups[g].nominal_bytes, DECRYPT_THREADS
             )
             if duration:
                 yield self.sim.timeout(duration)
@@ -344,7 +343,7 @@ class PrefillPipeline:
                     continue
                 # The re-fetched ciphertext decrypts on the TA CPU again.
                 duration = self.backend.decrypt_duration(
-                    group.nominal_bytes, self.config.decrypt_threads
+                    group.nominal_bytes, DECRYPT_THREADS
                 )
                 if duration:
                     yield self.sim.timeout(duration)
@@ -475,9 +474,9 @@ class PrefillPipeline:
         while self.backend.allocated < target:
             if self._failure is not None:
                 return  # aborted mid-task: stop ballooning memory
-            step_target = min(target, self.backend.allocated + self.config.slice_bytes)
+            step_target = min(target, self.backend.allocated + SLICE_BYTES)
             with self.tracer.span("alloc", "alloc g%d" % g, lane="CPU"):
-                yield from self.backend.alloc_to(step_target, self.config.alloc_threads)
+                yield from self.backend.alloc_to(step_target, ALLOC_THREADS)
             c0 = self.sim.now
             yield from self._maybe_preempt()
             compute_stolen += self.sim.now - c0
@@ -491,10 +490,8 @@ class PrefillPipeline:
         t0 = self.sim.now
         compute_stolen = 0.0
         yield from self.backend.protect_to(group.region_end)
-        total = self.backend.decrypt_duration(group.nominal_bytes, self.config.decrypt_threads)
-        slice_time = self.backend.decrypt_duration(
-            self.config.slice_bytes, self.config.decrypt_threads
-        )
+        total = self.backend.decrypt_duration(group.nominal_bytes, DECRYPT_THREADS)
+        slice_time = self.backend.decrypt_duration(SLICE_BYTES, DECRYPT_THREADS)
         remaining = total
         while remaining > 0:
             if self._failure is not None:

@@ -45,10 +45,6 @@ class RestoreGroup:
     region_offset: int = 0  # byte offset of the group within the region
 
     @property
-    def earliest_op(self) -> int:
-        return self.compute_op_ids[0]
-
-    @property
     def region_end(self) -> int:
         return self.region_offset + self.alloc_bytes
 

@@ -24,7 +24,6 @@ from ..errors import ConfigurationError
 from ..hw.common import AddrRange, World
 from ..llm.gguf import ModelContainer, container_path, pack_model, parse_container
 from ..llm.graph import build_prefill_graph
-from ..llm.kv_cache import KVCache
 from ..llm.models import ModelSpec
 from ..llm.runtime import GraphExecutor, REEDriverNPUBackend, decode_tokens
 from ..sim import Resource
@@ -300,7 +299,6 @@ class REELLM(_SystemBase):
         use_npu: Union[bool, str] = True,
         decode_use_npu: Union[bool, str] = "auto",
         pipeline_config: Optional[PipelineConfig] = None,
-        release_after: Optional[bool] = None,
     ):
         if mode not in ("memory", "flash"):
             raise ConfigurationError("mode must be 'memory' or 'flash'")
@@ -310,7 +308,6 @@ class REELLM(_SystemBase):
         self.use_npu = use_npu
         self.decode_use_npu = decode_use_npu
         self.pipeline_config = pipeline_config or PipelineConfig()
-        self.release_after = (mode == "flash") if release_after is None else release_after
         self.max_tokens = max_tokens
         self.stack = build_stack(
             spec=platform, granule=granule, os_footprint=os_footprint, cma_regions={}
@@ -344,6 +341,8 @@ class REELLM(_SystemBase):
         return self.plan.groups_for_bytes(self.backend.allocated)
 
     def infer(self, prompt_tokens: int, output_tokens: int = 0):
+        if prompt_tokens + output_tokens > self.max_tokens:
+            raise ConfigurationError("request exceeds max_tokens")
         sim = self.sim
         record = InferenceRecord(
             prompt_tokens=prompt_tokens,
@@ -378,19 +377,15 @@ class REELLM(_SystemBase):
         record.ttft = sim.now - record.started_at
         if output_tokens > 0:
             executor = GraphExecutor(sim, self.stack.spec, self.cpu, self.npu_backend)
-            kv = KVCache(self.model, self.max_tokens)
-            kv.init_prompt(prompt_tokens)
-            try:
-                record.decode = yield from decode_tokens(
-                    executor,
-                    self.model,
-                    self.container.tensors,
-                    kv,
-                    output_tokens,
-                    use_npu=self.decode_use_npu,
-                )
-            finally:
-                kv.reset()
-        if self.release_after:
+            record.decode = yield from decode_tokens(
+                executor,
+                self.model,
+                self.container.tensors,
+                prompt_tokens,
+                output_tokens,
+                use_npu=self.decode_use_npu,
+            )
+        if self.mode == "flash":
+            # REE-LLM-Flash reloads every request: nothing stays resident.
             yield from self.backend.release_to(0)
         return record

@@ -47,7 +47,6 @@ class Fleet:
         sim: Optional[Simulator] = None,
         registry: Optional[MetricsRegistry] = None,
         session_capacity: int = 64,
-        prefix_capacity: int = 16,
         resilience: Optional[ResilienceConfig] = None,
         recorder: Optional[FlightRecorder] = None,
     ):
@@ -69,7 +68,6 @@ class Fleet:
                 recorder=recorder,
                 surrogate_config=surrogate_config,
                 session_capacity=session_capacity,
-                prefix_capacity=prefix_capacity,
             )
         if warm:
             for device in self.devices.values():

@@ -34,6 +34,9 @@ from .surrogate import SurrogateConfig, SurrogateLLM
 
 __all__ = ["DeviceNode"]
 
+#: shared prefixes a device keeps computed (LRU).
+PREFIX_CAPACITY = 16
+
 
 class _ObsView:
     """The minimal observability bundle the gateway consumes."""
@@ -60,7 +63,6 @@ class DeviceNode:
         recorder=None,
         surrogate_config: Optional[SurrogateConfig] = None,
         session_capacity: int = 64,
-        prefix_capacity: int = 16,
     ):
         if not device_id:
             raise ConfigurationError("device_id must be non-empty")
@@ -100,7 +102,6 @@ class DeviceNode:
         self.probe_ewma: Optional[float] = None
         self.probe_baseline: Optional[float] = None
         self.session_capacity = session_capacity
-        self.prefix_capacity = prefix_capacity
         #: session_id -> KV tokens resident here (LRU).
         self.sessions: "OrderedDict[str, int]" = OrderedDict()
         #: session_id -> model_id, parallel to ``sessions`` — the memory
@@ -194,12 +195,8 @@ class DeviceNode:
         if request.prefix_id:
             self.prefixes.pop(request.prefix_id, None)
             self.prefixes[request.prefix_id] = request.prefix_tokens
-            while len(self.prefixes) > self.prefix_capacity:
+            while len(self.prefixes) > PREFIX_CAPACITY:
                 self.prefixes.popitem(last=False)
-
-    def drop_session(self, session_id: str) -> None:
-        self.sessions.pop(session_id, None)
-        self.session_model.pop(session_id, None)
 
     # -- lifecycle -----------------------------------------------------
     def crash(self) -> None:

@@ -274,8 +274,6 @@ class HealthProber:
         self.router = router
         self.sim = router.sim
         self.config = config
-        self.quarantines = 0
-        self.readmissions = 0
         self._probes = router.registry.counter(
             "fleet_probes_total", "Health probes, by device and outcome."
         )
@@ -318,12 +316,10 @@ class HealthProber:
                 timed_out or ewma > cfg.quarantine_factor * baseline
             ):
                 device.lifecycle.to(DEGRADED, "probe-quarantine")
-                self.quarantines += 1
             elif state == DEGRADED and not timed_out and (
                 ewma <= cfg.readmit_factor * baseline
             ):
                 device.lifecycle.to(UP, "probe-readmit")
-                self.readmissions += 1
 
 
 class FleetFaultDriver:

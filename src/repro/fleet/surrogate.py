@@ -96,14 +96,12 @@ class SurrogateConfig:
 class _SurrogateTA:
     """Per-model slice of the surrogate: residency state + timing."""
 
-    __slots__ = ("model", "resident", "last_used", "serves", "cold_restores")
+    __slots__ = ("model", "resident", "last_used")
 
     def __init__(self, model: ModelSpec):
         self.model = model
         self.resident = False
         self.last_used = -1.0
-        self.serves = 0
-        self.cold_restores = 0
 
 
 class SurrogateLLM:
@@ -275,7 +273,6 @@ class SurrogateLLM:
             restore = self.restore_time(model)
             ttft += restore
             record.init_time = restore
-            ta.cold_restores += 1
         else:
             record.cached_bytes = model.param_bytes
         ttft += self.platform.timing.kv_activation_alloc
@@ -310,6 +307,5 @@ class SurrogateLLM:
                 step_times=[tpt] * decoded,
                 stopped_early=preempted,
             )
-        ta.serves += 1
         ta.last_used = sim.now
         return record

@@ -68,10 +68,5 @@ class AddrRange:
             return False
         return self.base < other.end and other.base < self.end
 
-    def intersection(self, other: "AddrRange") -> "AddrRange":
-        base = max(self.base, other.base)
-        end = min(self.end, other.end)
-        return AddrRange(base, max(0, end - base))
-
     def __repr__(self) -> str:
         return "AddrRange(0x%x..0x%x)" % (self.base, self.end)

@@ -36,7 +36,6 @@ class Flash:
         #: silently corrupts one bit of the returned data.
         self.fault_injector = None
         self.read_errors = 0
-        self.bit_flips = 0
         #: observability attach points (repro.obs.instrument).
         self.metrics = None
         self.recorder = None
@@ -118,7 +117,6 @@ class Flash:
         if injector is not None:
             flipped = injector.corrupt("flash.bit_flip", data)
             if flipped is not data:
-                self.bit_flips += 1
                 if metrics is not None:
                     metrics.counter("flash_bit_flips_total", "Silently corrupted reads").inc()
                 if self.recorder is not None:

@@ -62,9 +62,6 @@ class GIC:
             raise ConfigurationError("unknown irq %d" % irq)
         self._handlers[(irq, world)] = handler
 
-    def detach_handler(self, world: World, irq: int) -> None:
-        self._handlers.pop((irq, world), None)
-
     def raise_irq(self, irq: int, payload: Any = None) -> Optional[World]:
         """Device raises a line; dispatch per current grouping.
 

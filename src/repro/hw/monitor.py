@@ -41,9 +41,6 @@ class SecureMonitor:
             raise ConfigurationError("smc handler %r already registered" % func)
         self._handlers[func] = handler
 
-    def unregister(self, func: str) -> None:
-        self._handlers.pop(func, None)
-
     def smc(self, caller_world: World, func: str, *args: Any, **kwargs: Any):
         """Issue an SMC; a generator to be yielded from a process.
 

@@ -183,9 +183,6 @@ class TZASC:
     def region(self, slot: int) -> Optional[TZASCRegion]:
         return self._regions.get(slot)
 
-    def secure_ranges(self) -> List[AddrRange]:
-        return [r.range for r in self._regions.values() if not r.range.empty]
-
     def is_secure(self, addr: int) -> bool:
         return any(r.range.contains(addr) for r in self._regions.values())
 

@@ -20,7 +20,6 @@ from .graph import (
 from .kv_cache import (
     BlockCheckpoint,
     KVBlockPool,
-    KVCache,
     PagedKVCache,
     PrefixTree,
     PromptSpec,
@@ -56,7 +55,6 @@ __all__ = [
     "Engine",
     "GraphExecutor",
     "KVBlockPool",
-    "KVCache",
     "PagedKVCache",
     "ModelContainer",
     "ModelSpec",

@@ -67,17 +67,6 @@ class ComputationGraph:
     def op(self, op_id: int) -> ComputeOp:
         return self._by_id[op_id]
 
-    def tensors_in_order(self) -> List[TensorMeta]:
-        """Parameter tensors in first-use (topological) order."""
-        seen = set()
-        ordered: List[TensorMeta] = []
-        for op in self.ops:
-            for tensor in op.tensors:
-                if tensor.name not in seen:
-                    seen.add(tensor.name)
-                    ordered.append(tensor)
-        return ordered
-
     def validate(self) -> None:
         """Check topological order and dependency sanity."""
         position = {op.op_id: index for index, op in enumerate(self.ops)}

@@ -1,14 +1,14 @@
 """KV-cache bookkeeping for the second TZASC region (§4.2).
 
-Three layouts share this module:
+The paper's deployed layout holds one request's KV: it is sized for the
+prompt at prefill, grows by one token per decode step, and is fully
+released after the inference.  On the single-stream path that footprint
+is a function of the decode loop's own token count
+(:func:`repro.llm.runtime.decode_tokens`), so no object tracks it.  Two
+layouts share this module:
 
-* :class:`KVCache` — the paper's deployed layout: one contiguous KV
-  range per request, initialized to the prompt size at prefill, grown by
-  one token per decode step, and fully released after the inference —
-  which is what lets it share a contiguous region with the fixed-size
-  activation buffers without fragmenting it.
 * :class:`KVBlockPool` + :class:`PagedKVCache` — the continuous-batching
-  extension (vLLM/Orca-style): the same data region carved into
+  extension (vLLM/Orca-style): the data region carved into
   fixed-size *token blocks*; each in-flight sequence holds a list of
   block ids instead of a contiguous range, and a free list recycles
   blocks between sequences.  The TZASC range itself stays a single
@@ -41,7 +41,6 @@ from ..errors import ConfigurationError, OutOfMemory
 from .models import ModelSpec
 
 __all__ = [
-    "KVCache",
     "KVBlockPool",
     "PagedKVCache",
     "BlockCheckpoint",
@@ -56,43 +55,6 @@ __all__ = [
 # the prefix tree keeps its content resident for future reuse.
 _ACTIVE, _PARKED, _CACHED = 0, 1, 2
 _CATEGORY_NAMES = ("active", "parked", "cached")
-
-
-class KVCache:
-    """Token-count bookkeeping for the KV cache's memory footprint."""
-
-    def __init__(self, model: ModelSpec, capacity_tokens: int):
-        if capacity_tokens < 1:
-            raise ConfigurationError("capacity must be positive")
-        self.model = model
-        self.capacity_tokens = capacity_tokens
-        self.tokens = 0
-
-    @property
-    def bytes_used(self) -> int:
-        return self.model.kv_bytes(self.tokens)
-
-    def init_prompt(self, prompt_tokens: int) -> None:
-        if self.tokens:
-            # A retried prefill must go through reset() first; silently
-            # overwriting would leak the prior tokens from accounting.
-            raise ConfigurationError(
-                "init_prompt on a non-empty KV cache (%d tokens live)" % self.tokens
-            )
-        if prompt_tokens > self.capacity_tokens:
-            raise OutOfMemory(
-                "prompt of %d tokens exceeds KV capacity %d"
-                % (prompt_tokens, self.capacity_tokens)
-            )
-        self.tokens = prompt_tokens
-
-    def append_token(self) -> None:
-        if self.tokens + 1 > self.capacity_tokens:
-            raise OutOfMemory("KV cache full at %d tokens" % self.tokens)
-        self.tokens += 1
-
-    def reset(self) -> None:
-        self.tokens = 0
 
 
 @dataclass(frozen=True)
@@ -613,13 +575,11 @@ class PrefixTree:
 class PagedKVCache:
     """One sequence's KV cache as a list of pool blocks.
 
-    Duck-compatible with :class:`KVCache` where the decode loop cares
-    (``tokens``, ``bytes_used``, ``init_prompt``, ``append_token``,
-    ``reset``), but growth allocates whole blocks from the shared pool
-    on boundary crossings instead of assuming a private contiguous
-    range.  ``release()`` (and its alias ``reset()``) is idempotent:
-    the TA's try/finally may race the engine's cleanup, and blocks must
-    go back to the free list exactly once.
+    Growth allocates whole blocks from the shared pool on boundary
+    crossings instead of assuming a private contiguous range.
+    ``release()`` is idempotent: the TA's try/finally may race the
+    engine's cleanup, and blocks must go back to the free list exactly
+    once.
 
     With a :class:`PrefixTree`, :meth:`init_prompt_shared` walks the
     tree instead of allocating blindly: whole-block hits take references
@@ -654,10 +614,6 @@ class PagedKVCache:
     def bytes_used(self) -> int:
         """Physical footprint: whole blocks, not just live tokens."""
         return len(self.block_ids) * self.pool.block_bytes
-
-    @property
-    def capacity_tokens(self) -> int:
-        return self.pool.total_blocks * self.pool.block_tokens
 
     def _alloc_one(self) -> int:
         use_hold = self.reserved_blocks > 0
@@ -839,9 +795,6 @@ class PagedKVCache:
         if self.reserved_blocks:
             self.pool.cancel_reservation(self.reserved_blocks, owner=self.owner)
             self.reserved_blocks = 0
-
-    # The legacy decode paths call ``reset()``; same exactly-once release.
-    reset = release
 
     def park(self) -> BlockCheckpoint:
         """Checkpoint the block list for an evicted-but-resumable

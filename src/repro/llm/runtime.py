@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from typing import List, Optional, Union
@@ -38,7 +39,6 @@ from .graph import (
     build_batched_decode_graph,
     size_decode_attention,
 )
-from .kv_cache import KVCache
 from .models import ModelSpec
 from .ops import Engine, op_duration
 from .tensors import TensorMeta
@@ -210,6 +210,34 @@ class GraphExecutor:
                 for op in ops:
                     yield from self.run_op(op, cpu_priority=cpu_priority)
 
+    def step(self, graph: ComputationGraph, cpu_priority: float = 0.0, before=None):
+        """One decode step: run ``before()`` then ``graph`` (generator).
+
+        ``before`` — a generator-producing callable, or None — runs
+        inside the step's wall time (KV growth, parameter streaming).
+        Returns ``(step_time, attribution)``: the step's wall time and a
+        dict of ``cpu`` (CPU op busy time), ``npu_compute`` (device busy
+        time), ``smc`` (cross-world overhead) and ``sched_wait`` (the
+        rest of the wall time).
+        """
+        start = self.sim.now
+        cpu0 = self.cpu_busy_time
+        npu0 = self.npu_busy_time
+        smc0 = self.npu_overhead_time
+        if before is not None:
+            yield from before()
+        yield from self.execute(graph, cpu_priority=cpu_priority)
+        step_time = self.sim.now - start
+        cpu_d = self.cpu_busy_time - cpu0
+        npu_d = self.npu_busy_time - npu0
+        smc_d = self.npu_overhead_time - smc0
+        return step_time, {
+            "cpu": cpu_d,
+            "npu_compute": npu_d,
+            "smc": smc_d,
+            "sched_wait": max(0.0, step_time - cpu_d - npu_d - smc_d),
+        }
+
     def _run_cpu(self, durations: List[float], cpu_priority: float):
         """Run consecutive CPU operators of the given durations (generator).
 
@@ -285,7 +313,7 @@ def decode_tokens(
     executor: GraphExecutor,
     model: ModelSpec,
     tensors: List[TensorMeta],
-    kv: KVCache,
+    context_tokens: int,
     n_tokens: int,
     use_npu: Union[bool, str] = "auto",
     cpu_priority: float = 0.0,
@@ -294,48 +322,34 @@ def decode_tokens(
 ):
     """The decode loop (generator; returns a :class:`DecodeResult`).
 
-    Engine choice is made once (it depends on weight sizes, not KV size);
-    the attention operators are resized each step as the cache grows.
-    ``grow_hook(kv)`` — a generator-producing callable — runs before each
-    step so the caller can extend KV-cache backing memory as it grows
-    (the §4.2 behaviour: the KV region scales during decoding).
-    ``stop_hook()`` — a plain callable — is checked at every token
-    boundary; when it returns true the loop stops early with
+    ``context_tokens`` — the prompt's KV length; the loop counts the
+    tokens it generates on top.  Engine choice is made once (it depends
+    on weight sizes, not KV size); the attention operators are resized
+    each step as the cache grows.  ``grow_hook(tokens)`` — a
+    generator-producing callable given the KV length before the step —
+    runs inside each step so the caller can extend KV-cache backing
+    memory as it grows (the §4.2 behaviour: the KV region scales during
+    decoding).  ``stop_hook()`` — a plain callable — is checked at every
+    token boundary; when it returns true the loop stops early with
     ``stopped_early`` set, the preemption point the serving gateway uses
     to yield the TA to a higher-priority request (same micro-granularity
     idea as the §4.1 pipeline preemption, at token scale).
     """
-    sim = executor.sim
     result = DecodeResult()
+    tokens = context_tokens
     graph = build_batched_decode_graph(
-        model, tensors, [kv.tokens], use_npu=use_npu, platform=executor.platform
+        model, tensors, [tokens], use_npu=use_npu, platform=executor.platform
     )
     attention = attention_ops(graph)
     for step in range(n_tokens):
         if stop_hook is not None and stop_hook():
             result.stopped_early = True
             break
-        start = sim.now
-        cpu0 = executor.cpu_busy_time
-        npu0 = executor.npu_busy_time
-        smc0 = executor.npu_overhead_time
-        if grow_hook is not None:
-            yield from grow_hook(kv)
-        size_decode_attention(model, attention, [kv.tokens])
-        yield from executor.execute(graph, cpu_priority=cpu_priority)
-        step_time = sim.now - start
+        size_decode_attention(model, attention, [tokens])
+        before = None if grow_hook is None else partial(grow_hook, tokens)
+        step_time, attribution = yield from executor.step(graph, cpu_priority, before)
         result.step_times.append(step_time)
-        cpu_d = executor.cpu_busy_time - cpu0
-        npu_d = executor.npu_busy_time - npu0
-        smc_d = executor.npu_overhead_time - smc0
-        result.attribution.append(
-            {
-                "cpu": cpu_d,
-                "npu_compute": npu_d,
-                "smc": smc_d,
-                "sched_wait": max(0.0, step_time - cpu_d - npu_d - smc_d),
-            }
-        )
+        result.attribution.append(attribution)
         result.token_ids.append(sample_token(model.model_id, step, model.vocab))
-        kv.append_token()
+        tokens += 1
     return result

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Optional
 
 from ..errors import StorageError
 from ..hw.flash import Flash
-from ..sim import Process, Simulator
+from ..sim import Simulator
 
 __all__ = ["FileSystem"]
 
@@ -85,13 +85,6 @@ class FileSystem:
         if self.tamper_hook is not None:
             data = self.tamper_hook(path, offset, data)
         return data
-
-    def read_async(self, path: str, offset: int, size: int, nominal: float = None) -> Process:
-        """Issue an aio request; returns its completion event immediately."""
-        return self.sim.process(
-            self.read(path, offset, size, nominal=nominal),
-            name="aio:%s@%d" % (path, offset),
-        )
 
     def write(self, path: str, offset: int, data: bytes):
         """Timed write (generator)."""

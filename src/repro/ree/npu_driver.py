@@ -68,9 +68,6 @@ class REENPUDriver:
         self.shadow_jobs_dropped = 0
         self.power_cycles = 0
         self.power_up_time_total = 0.0
-        #: cumulative wall time spent inside shadow hand-off SMCs (the
-        #: REE-side view of the cross-world cost; repro.obs profiling).
-        self.smc_handoff_time = 0.0
         #: observability attach points (repro.obs.instrument).
         self.metrics = None
         self.recorder = None
@@ -194,7 +191,6 @@ class REENPUDriver:
             World.NONSECURE, "tee.npu_take_over", shadow.shadow_id, shadow.seq
         )
         elapsed = self.sim.now - t0
-        self.smc_handoff_time += elapsed
         if self.metrics is not None:
             self.metrics.counter(
                 "ree_npu_handoff_seconds_total",

@@ -77,10 +77,6 @@ class S2PTProtection:
         self._protected.append(rng)
         self.state.enabled = True
 
-    def unprotect_all(self) -> None:
-        self._protected = []
-        self.state.enabled = False
-
     def check_cpu(self, rng: AddrRange, world) -> None:
         if getattr(world, "is_secure", False):
             return

@@ -59,7 +59,6 @@ class REEScheduler:
         self._run_queue: Deque[int] = deque()
         self._ids = itertools.count(1)
         self._wake: Optional[Event] = None
-        self.context_switches = 0
         #: malicious ordering hook: (run_queue) -> reordered run_queue.
         self._order_hook: Optional[Callable[[List[int]], List[int]]] = None
         for core in range(n_cores):
@@ -104,7 +103,6 @@ class REEScheduler:
                 yield self._wake
                 self._wake = None
                 continue
-            self.context_switches += 1
             yield from self._run_slice(thread)
 
     def _run_slice(self, thread: REEThread):

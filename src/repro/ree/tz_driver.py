@@ -38,8 +38,6 @@ class TZDriver:
         self._allocs: Dict[str, List[Allocation]] = {}
         #: adversary hook: forge the address returned to the TEE.
         self.alloc_result_hook: Optional[Callable[[int], int]] = None
-        self.cma_alloc_calls = 0
-        self.cma_release_calls = 0
         #: observability attach points (repro.obs.instrument).
         self.metrics = None
         self.recorder = None
@@ -69,7 +67,6 @@ class TZDriver:
             start_frame, n_frames, threads=threads, tag="tee:" + region_name
         )
         self._allocs.setdefault(region_name, []).append(alloc)
-        self.cma_alloc_calls += 1
         if self.metrics is not None:
             self.metrics.counter(
                 "tz_cma_alloc_calls_total", "CMA balloon extends handled for the TEE"
@@ -87,7 +84,6 @@ class TZDriver:
             raise ConfigurationError("unaligned CMA release")
         remaining = n_bytes // db.granule
         allocs = self._allocs.get(region_name, [])
-        self.cma_release_calls += 1
         if self.metrics is not None:
             self.metrics.counter(
                 "tz_cma_release_calls_total", "CMA balloon shrinks handled for the TEE"

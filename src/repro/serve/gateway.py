@@ -64,7 +64,6 @@ class GatewayConfig:
     #: system's TAs to be built with a ``BatchConfig``.
     batching: bool = False
     policies: Dict[PriorityClass, ClassPolicy] = field(default_factory=default_policies)
-    predictor_alpha: float = 0.3
     #: failure handling (repro.faults): how many times a request whose
     #: attempt died on a *retryable* fault is re-queued before it fails.
     max_retries: int = 2
@@ -209,7 +208,7 @@ class ServeGateway:
         #: them — with the admission controller's queued count, the
         #: fleet router's O(1) load signal.
         self.running_count = 0
-        self.predictor = ServiceTimePredictor(alpha=self.config.predictor_alpha)
+        self.predictor = ServiceTimePredictor()
         self.admission = AdmissionController(
             model_ids,
             self.config.policies,
@@ -222,7 +221,6 @@ class ServeGateway:
         self._request_ids = itertools.count(1)
         #: deterministic request log, one line per lifecycle transition.
         self.log: List[str] = []
-        self.completed: List[ServeRequest] = []
         self.failed: List[ServeRequest] = []
         self.cancelled: List[ServeRequest] = []
         self.preemption_signals = 0
@@ -626,7 +624,6 @@ class ServeGateway:
                 )
             self.predictor.observe(request.model_id, ttft=record.ttft, service_time=elapsed)
             self.accountant.observe(request)
-            self.completed.append(request)
             self.log.append(
                 request.log_line(
                     "complete",
@@ -763,12 +760,13 @@ class ServeGateway:
                 "queue_depth": self.admission.total_depth(model_id),
             }
         firing = [] if self.alert_engine is None else self.alert_engine.firing()
+        completed = sum(len(stats.observed) for stats in self.accountant.classes.values())
         return {
             "gateway_id": self.gateway_id,
             "at": self.sim.now,
             "lanes": lanes,
             "queue_depth": self.queue_depth,
-            "completed": len(self.completed),
+            "completed": completed,
             "failed": len(self.failed),
             "cancelled": len(self.cancelled),
             "alerts_firing": firing,

@@ -251,10 +251,6 @@ class Process(Event):
             sim.ledger.note_spawn(self, sim.now)
         _Initialize(sim, self)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its yield point."""
         if self._triggered:

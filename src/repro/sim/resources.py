@@ -367,10 +367,6 @@ class BandwidthResource:
         self.stats = PipeStats(sim.now)
 
     # ------------------------------------------------------------------
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
-
     def current_rate(self) -> float:
         """Per-transfer byte rate right now (0 if idle)."""
         if not self._active:

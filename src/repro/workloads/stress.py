@@ -39,6 +39,8 @@ from ..ree.pages import Allocation
 
 __all__ = ["MemoryStress"]
 
+#: the kernel allocation tag of every stress mapping.
+_TAG = "stress-ng"
 _PATTERN_STRIDE = 64
 #: copies of a frame's 8-byte header in its pattern.
 _HEADER_COPIES = _PATTERN_STRIDE // 8
@@ -57,16 +59,12 @@ class MemoryStress:
         self,
         kernel: REEKernel,
         n_bytes: int,
-        tag: str = "stress-ng",
-        best_effort: bool = True,
         headroom: int = 64 * 1024 * 1024,
     ):
         if n_bytes <= 0:
             raise ConfigurationError("stress size must be positive")
         self.kernel = kernel
         self.n_bytes = n_bytes
-        self.tag = tag
-        self.best_effort = best_effort
         self.headroom = headroom
         self.allocs: List[Allocation] = []
         self._running = False
@@ -106,12 +104,11 @@ class MemoryStress:
         want = target - self.mapped_bytes
         if want < granule:
             return
-        if self.best_effort:
-            available = self.kernel.free_bytes - self.headroom
-            want = min(want, available)
-            if want < granule:
-                return
-        alloc = self.kernel.map_anonymous(want, tag=self.tag)
+        # Best effort: map what is free beyond the headroom.
+        want = min(want, self.kernel.free_bytes - self.headroom)
+        if want < granule:
+            return
+        alloc = self.kernel.map_anonymous(want, tag=_TAG)
         self.kernel.buddy.register_reclaimable(alloc)
         self.allocs.append(alloc)
         memory = self.kernel.board.memory

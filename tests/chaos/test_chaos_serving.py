@@ -52,9 +52,10 @@ def test_chaos_trace_liveness_and_accounting(seed, hardened_system, full_plan):
     gateway, loadgen, metrics, injector = run_trace(seed, hardened_system, full_plan)
     assert loadgen.offered > 5
     # Liveness: every offered request reached exactly one terminal state.
-    terminal = len(gateway.completed) + len(gateway.failed) + len(loadgen.rejected)
+    completed = [r for stats in gateway.accountant.classes.values() for r in stats.observed]
+    terminal = len(completed) + len(gateway.failed) + len(loadgen.rejected)
     assert terminal == loadgen.offered
-    for request in gateway.completed:
+    for request in completed:
         assert request.state == "done"
     for request in gateway.failed:
         assert request.state == "failed" and request.failures

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import TZLLM
+from repro.core import REELLM, TZLLM
+from repro.errors import ConfigurationError
 from repro.llm import TINYLLAMA
 
 
@@ -50,3 +51,16 @@ def test_initial_region_sized_for_prompt_not_output(system):
     long_prompt = system.run_infer(480, 0)
     # Setup cost scales with prompt KV (long prompt allocates more now).
     assert long_prompt.data_setup_time > short.data_setup_time
+
+
+def test_ree_baseline_rejects_over_long_request_up_front():
+    """The REE baselines check prompt + output against ``max_tokens``
+    before any work, as the TA does, instead of running the prefill and
+    failing mid-decode."""
+    ree = REELLM(TINYLLAMA, "memory", max_tokens=64)
+    before = ree.sim.now
+    with pytest.raises(ConfigurationError):
+        ree.run_infer(48, 17)
+    assert ree.sim.now == before
+    record = ree.run_infer(48, 16)  # exactly max_tokens fits
+    assert len(record.decode.token_ids) == 16

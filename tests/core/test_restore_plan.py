@@ -36,7 +36,7 @@ def test_plan_covers_every_tensor_once():
 
 def test_plan_groups_in_topological_order():
     plan = build_restoration_plan(GRAPH, MiB)
-    earliest = [g.earliest_op for g in plan.groups]
+    earliest = [min(g.compute_op_ids) for g in plan.groups]
     assert earliest == sorted(earliest)
     # Every parameter-consuming op maps to a group.
     for op in GRAPH.ops:

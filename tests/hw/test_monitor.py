@@ -60,8 +60,6 @@ def test_duplicate_registration_rejected():
     monitor.register("f", lambda: None)
     with pytest.raises(ConfigurationError):
         monitor.register("f", lambda: None)
-    monitor.unregister("f")
-    monitor.register("f", lambda: 7)
 
 
 def test_smc_count_accumulates_across_calls():

@@ -84,18 +84,6 @@ def test_gic_unhandled_interrupt_dropped():
     assert gic.dropped == 1
 
 
-def test_gic_detach_handler():
-    gic = GIC()
-    gic.register_line(7, N)
-    seen = []
-    gic.attach_handler(N, 7, lambda irq, payload: seen.append(payload))
-    gic.raise_irq(7, 1)
-    gic.detach_handler(N, 7)
-    gic.raise_irq(7, 2)
-    assert seen == [1]
-    assert gic.dropped == 1
-
-
 def test_gic_unknown_line_rejected():
     gic = GIC()
     with pytest.raises(ConfigurationError):

@@ -8,7 +8,6 @@ from repro.hw import AddrRange, Board
 from repro.llm import (
     Engine,
     GraphExecutor,
-    KVCache,
     DirectNPUBackend,
     MODELS,
     REEDriverNPUBackend,
@@ -45,8 +44,7 @@ def test_prefill_graph_structure():
     for index, op in enumerate(graph.ops):
         assert op.deps == ([] if index == 0 else [index - 1])
     # All parameter tensors appear exactly once, in file order.
-    ordered = graph.tensors_in_order()
-    assert [t.name for t in ordered] == [t.name for t in TABLE]
+    assert [t.name for op in graph.ops for t in op.tensors] == [t.name for t in TABLE]
 
 
 def test_cpu_only_prefill_hits_paper_anchor():
@@ -154,14 +152,18 @@ def test_decode_loop_grows_kv_and_counts_tokens():
     executor = GraphExecutor(sim, PLATFORM, cpu, DirectNPUBackend(sim, PLATFORM))
     spec = get_model("tinyllama-1.1b-q8")
     table = build_tensor_table(spec)
-    kv = KVCache(spec, capacity_tokens=256)
-    kv.init_prompt(128)
+    grown = []
 
-    proc = sim.process(decode_tokens(executor, spec, table, kv, 8, use_npu="auto"))
+    def grow(tokens):
+        grown.append(tokens)
+        yield from ()
+
+    proc = sim.process(decode_tokens(executor, spec, table, 128, 8, use_npu="auto", grow_hook=grow))
     result = sim.run_until(proc)
     assert len(result.token_ids) == 8
     assert len(result.step_times) == 8
-    assert kv.tokens == 136
+    # The hook sees the KV length before each step: 128, then one more per token.
+    assert grown == list(range(128, 136))
     assert result.tokens_per_second > 0
     # Later steps are (weakly) slower: attention reads a longer KV cache.
     assert result.step_times[-1] >= result.step_times[0]

@@ -117,7 +117,7 @@ def run_scenario(execute, ops, contenders, cpu_priority, start, interrupt_at):
 
         def interrupter():
             yield sim.timeout(interrupt_at)
-            if proc.is_alive:
+            if not proc.triggered:
                 proc.interrupt("stop")
 
         sim.process(interrupter())

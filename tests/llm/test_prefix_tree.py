@@ -11,7 +11,7 @@ instead of clamping).
 import pytest
 
 from repro.errors import ConfigurationError, OutOfMemory
-from repro.llm import TINYLLAMA, KVBlockPool, KVCache, PagedKVCache, PromptSpec
+from repro.llm import TINYLLAMA, KVBlockPool, PagedKVCache, PromptSpec
 from repro.llm.kv_cache import PrefixTree
 
 B = 16  # block_tokens everywhere in this file
@@ -330,14 +330,7 @@ def test_alloc_from_reservation_without_hold_raises():
     pool.check_conservation()  # the failed alloc left nothing behind
 
 
-def test_init_prompt_reentry_raises_on_both_layouts():
-    kv = KVCache(TINYLLAMA, 256)
-    kv.init_prompt(32)
-    with pytest.raises(ConfigurationError):
-        kv.init_prompt(16)
-    kv.reset()
-    kv.init_prompt(16)  # legal again after reset
-
+def test_paged_init_prompt_reentry_raises():
     pool, tree = make()
     paged = PagedKVCache(pool, owner="t/r1")
     paged.init_prompt(32)

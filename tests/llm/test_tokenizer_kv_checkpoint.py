@@ -1,4 +1,4 @@
-"""Tests for tokenizer, KV cache, and framework checkpointing."""
+"""Tests for tokenizer and framework checkpointing."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from repro.config import RK3588, MiB, TimingSpec
 from repro.crypto import derive_key
-from repro.errors import ConfigurationError, IntegrityError, OutOfMemory
+from repro.errors import ConfigurationError, IntegrityError
 from repro.hw import Board
-from repro.llm import KVCache, Tokenizer, get_model
+from repro.llm import Tokenizer
 from repro.llm.checkpoint import (
     checkpoint_path,
     cold_init,
@@ -61,29 +61,6 @@ def test_tokenizer_roundtrips_word_text(word):
     if not word:
         return
     assert tok.decode(tok.encode(word)) == word
-
-
-# ---------------------------------------------------------------------------
-# KV cache
-# ---------------------------------------------------------------------------
-def test_kv_growth_and_overflow():
-    spec = get_model("tinyllama-1.1b-q8")
-    kv = KVCache(spec, capacity_tokens=10)
-    kv.init_prompt(8)
-    assert kv.bytes_used == spec.kv_bytes(8)
-    kv.append_token()
-    kv.append_token()
-    with pytest.raises(OutOfMemory):
-        kv.append_token()
-    kv.reset()
-    assert kv.tokens == 0
-
-
-def test_kv_prompt_too_long_rejected():
-    spec = get_model("tinyllama-1.1b-q8")
-    kv = KVCache(spec, capacity_tokens=10)
-    with pytest.raises(OutOfMemory):
-        kv.init_prompt(11)
 
 
 # ---------------------------------------------------------------------------

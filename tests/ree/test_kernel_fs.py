@@ -99,8 +99,8 @@ def test_fs_async_reads_overlap():
     kernel.fs.create("/b", b"y" * 1000)
 
     def proc():
-        first = kernel.fs.read_async("/a", 0, 1000)
-        second = kernel.fs.read_async("/b", 0, 1000)
+        first = sim.process(kernel.fs.read("/a", 0, 1000))
+        second = sim.process(kernel.fs.read("/b", 0, 1000))
         a = yield first
         b = yield second
         return a, b

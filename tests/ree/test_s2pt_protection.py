@@ -53,14 +53,6 @@ def test_s2pt_page_granular_no_contiguity_requirement():
         s2pt.check_cpu(AddrRange(5 * MiB, 16), N)
 
 
-def test_unprotect_disables_everything():
-    s2pt = S2PTProtection(S2PTSpec())
-    s2pt.protect(SECRET)
-    s2pt.unprotect_all()
-    s2pt.check_cpu(AddrRange(9 * MiB, 64), N)
-    assert not s2pt.state.enabled
-
-
 def test_tzasc_blocks_the_same_dma_attack():
     """Control: the design TZ-LLM chose stops the DMA attack cold."""
     from repro.hw import TZASC

@@ -26,6 +26,11 @@ def drain(gateway, requests):
         gateway.sim.run_until(request.completion)
 
 
+def completed(gateway):
+    """The requests the gateway completed, as its SLO accountant observed them."""
+    return [r for stats in gateway.accountant.classes.values() for r in stats.observed]
+
+
 # ----------------------------------------------------------------------
 # wiring
 # ----------------------------------------------------------------------
@@ -53,7 +58,7 @@ def test_dispatch_fills_the_batch():
     lane = next(iter(gateway.lanes.values()))
     assert len(lane.running) == 2  # both seated, neither queued
     drain(gateway, [r1, r2])
-    assert {r.tenant for r in gateway.completed} == {"a", "b"}
+    assert {r.tenant for r in completed(gateway)} == {"a", "b"}
     assert system.ta.batch_engine.occupancy_mean() > 1.0
 
 
@@ -71,7 +76,7 @@ def test_kv_budget_blocks_head_of_line():
     assert len(lane.running) == 1  # the second does not fit: 4+4 > 6
     assert gateway.queue_depth == 1
     drain(gateway, [r1, r2])
-    assert len(gateway.completed) == 2
+    assert gateway.health()["completed"] == 2
     assert system.ta.batch_engine.pool.reserved == 0
 
 
@@ -148,11 +153,11 @@ def run_preemption_scenario(out=40, arrive_at=5.0):
 def test_high_priority_preempts_into_full_batch():
     system, gateway = run_preemption_scenario()
     assert gateway.preemption_signals == 1
-    victims = [r for r in gateway.completed if r.preemptions > 0]
+    victims = [r for r in completed(gateway) if r.preemptions > 0]
     assert len(victims) == 1
     assert victims[0].priority.label == "background"
     assert victims[0].attempts == 2
-    rt = next(r for r in gateway.completed if r.tenant == "rt")
+    rt = next(r for r in completed(gateway) if r.tenant == "rt")
     assert rt.preemptions == 0 and rt.attempts == 1
     assert system.ta.batch_engine.evictions == 1
     assert system.ta.batch_engine.resumes == 1
@@ -189,7 +194,7 @@ def test_resume_restores_exact_parked_block_list():
     assert checkpoint.tokens > 32  # prompt + some decoded tokens survived
     assert len(checkpoint.block_ids) == len(set(checkpoint.block_ids))
     assert observed["pool_used"] >= len(checkpoint.block_ids)
-    victim = next(r for r in gateway.completed if r.preemptions > 0)
+    victim = next(r for r in completed(gateway) if r.preemptions > 0)
     # The resumed decode continued on the parked blocks: the final token
     # count covers prompt + full output, all grown from that block list.
     assert victim.record.decode.token_ids is not None
@@ -201,7 +206,7 @@ def test_preempted_stream_is_identical_to_unpreempted():
     """Determinism across park/resume: the victim's final token stream
     equals an unpreempted run of the same request."""
     system, gateway = run_preemption_scenario(out=40)
-    victim = next(r for r in gateway.completed if r.preemptions > 0)
+    victim = next(r for r in completed(gateway) if r.preemptions > 0)
     reference = make_system(max_batch_size=2).run_infer(32, 40)
     assert victim.record.decode.token_ids == reference.decode.token_ids
     # The resumed record reports the original attempt's first token.
@@ -210,7 +215,7 @@ def test_preempted_stream_is_identical_to_unpreempted():
 
 def test_ttft_of_resumed_request_reflects_first_attempt():
     _, gateway = run_preemption_scenario()
-    victim = next(r for r in gateway.completed if r.preemptions > 0)
+    victim = next(r for r in completed(gateway) if r.preemptions > 0)
     # first_token_at precedes the preemption (the resume never re-ran
     # prefill), so TTFT is attributed to the first attempt.
     assert victim.dispatched_at < victim.first_token_at
@@ -243,4 +248,4 @@ def test_cold_gateway_does_not_spuriously_shed():
     ]
     assert gateway.admission.rejected_slo == 0
     drain(gateway, requests)
-    assert len(gateway.completed) == 3
+    assert gateway.health()["completed"] == 3

@@ -41,7 +41,8 @@ def test_submit_blocking_serves_a_request(system):
     assert request.e2e_latency >= request.ttft
     assert request.attempts == 1 and request.preemptions == 0
     assert request.slo_attained is True
-    assert gateway.completed == [request]
+    assert gateway.accountant.classes[request.priority].observed == [request]
+    assert gateway.health()["completed"] == 1
 
 
 def test_request_log_records_lifecycle(system):

@@ -88,8 +88,8 @@ def test_trace_is_substantial():
 
 
 def test_both_modes_serve_every_request(fifo, priority):
-    assert len(fifo.completed) == len(TRACE)
-    assert len(priority.completed) == len(TRACE)
+    assert fifo.health()["completed"] == len(TRACE)
+    assert priority.health()["completed"] == len(TRACE)
 
 
 def test_priority_preemption_beats_fifo_on_interactive_p95_ttft(fifo, priority):

@@ -175,7 +175,7 @@ def test_zero_byte_transfer_completes_immediately():
     pipe = BandwidthResource(sim, bandwidth=10.0)
     xfer = pipe.transfer(0)
     assert xfer.triggered
-    assert pipe.active_count == 0
+    assert pipe.current_rate() == 0.0
 
 
 def test_bandwidth_total_bytes_accounted():
