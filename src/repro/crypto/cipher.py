@@ -48,17 +48,18 @@ def keystream_xor(key: bytes, nonce: bytes, data: bytes, offset: int = 0) -> byt
         raise ConfigurationError("nonce must be %d bytes" % NONCE_SIZE)
     if offset < 0:
         raise ConfigurationError("negative offset")
-    out = bytearray(len(data))
-    pos = 0
-    while pos < len(data):
-        absolute = offset + pos
-        counter, skip = divmod(absolute, _BLOCK)
-        block = hashlib.sha256(key + nonce + struct.pack(">Q", counter)).digest()
-        take = min(len(data) - pos, _BLOCK - skip)
-        for i in range(take):
-            out[pos + i] = data[pos + i] ^ block[skip + i]
-        pos += take
-    return bytes(out)
+    size = len(data)
+    if not size:
+        return b""
+    first, skip = divmod(offset, _BLOCK)
+    prefix = key + nonce
+    stream = b"".join(
+        hashlib.sha256(prefix + struct.pack(">Q", counter)).digest()
+        for counter in range(first, (offset + size - 1) // _BLOCK + 1)
+    )
+    # One XOR over the range: bytes as integers of one byte order.
+    mask = int.from_bytes(stream[skip : skip + size], "little")
+    return (int.from_bytes(data, "little") ^ mask).to_bytes(size, "little")
 
 
 def encrypt(key: bytes, nonce: bytes, plaintext: bytes, offset: int = 0) -> bytes:

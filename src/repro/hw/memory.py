@@ -22,7 +22,7 @@ charge simulated time through their own cost models.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Container, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..config import PAGE_SIZE
 from ..errors import ConfigurationError
@@ -197,15 +197,13 @@ class PhysicalMemory:
         self.tzasc.check_cpu(AddrRange(base, size), world)
         self._zero_raw(base, size)
 
-    def _zero_raw(self, base: int, size: int, keep: Container[int] = ()) -> None:
-        """Zero ``[base, base + size)``, except in the pages in ``keep``.
-        A slice that reaches a page's extent truncates the page."""
+    def _zero_raw(self, base: int, size: int) -> None:
+        """Zero ``[base, base + size)``.  A slice that reaches a page's
+        extent truncates the page."""
         if size <= 0:
             return
         end = base + size
         for page_index in self._materialized_in(base, size):
-            if page_index in keep:
-                continue
             page = self._page(page_index)
             page_base = page_index * PAGE_SIZE
             start = max(base - page_base, 0)
@@ -216,40 +214,32 @@ class PhysicalMemory:
                 page[start:stop] = bytes(stop - start)
 
     def copy_range(self, src: int, dst: int, size: int) -> None:
-        """Raw copy between disjoint ranges that skips never-materialized
-        (all-zero) source pages; overlapping ranges raise
-        :class:`~repro.errors.ConfigurationError`.
+        """Raw copy between disjoint page-aligned ranges that skips
+        never-materialized (all-zero) source pages; a misaligned or
+        overlapping range raises :class:`~repro.errors.ConfigurationError`.
 
         Used by page migration: copying a mostly-untouched granule costs
         nothing, exactly like copying zero pages costs the real kernel a
-        memset it would do anyway.  When ``dst - src`` is a page multiple,
-        as in every migration, each whole materialized source page lands
-        on one destination page as its extent.
+        memset it would do anyway.  Each materialized source page lands
+        on its destination page as its extent.
         """
         self._check_bounds(src, size)
         self._check_bounds(dst, size)
+        if src % PAGE_SIZE or dst % PAGE_SIZE or size % PAGE_SIZE:
+            raise ConfigurationError(
+                "copy [0x%x, 0x%x) -> 0x%x is not page-aligned" % (src, src + size, dst)
+            )
         if src < dst + size and dst < src + size:
             raise ConfigurationError(
                 "copy [0x%x, 0x%x) -> [0x%x, 0x%x) overlaps" % (src, src + size, dst, dst + size)
             )
-        delta = dst - src
-        shift, misaligned = divmod(delta, PAGE_SIZE)
-        sources = self._materialized_in(src, size)
-        # Absent source pages are logically zero, so destination bytes no
-        # source page overwrites are cleared: the copy must not leak a
-        # prior occupant.
-        self._zero_raw(dst, size, () if misaligned else {p + shift for p in sources})
-        end = src + size
+        shift = (dst - src) // PAGE_SIZE
         pages = self._pages
-        for page_index in sources:
-            page_base = page_index * PAGE_SIZE
-            start = max(src - page_base, 0)
-            stop = min(end - page_base, PAGE_SIZE)
-            if stop - start == PAGE_SIZE and not misaligned:
-                self._page(page_index + shift)[:] = pages[page_index]
-            else:
-                # An edge or misaligned slice is written in full, zeros
-                # past the source's extent included, so every destination
-                # page it covers is materialized.
-                data = self._raw_read(page_base + start, stop - start)
-                self._raw_write(page_base + start + delta, data)
+        # Absent source pages are logically zero, so a destination page no
+        # source page overwrites is emptied: the copy must not leak a
+        # prior occupant.
+        for page_index in self._materialized_in(dst, size):
+            if page_index - shift not in pages:
+                self._page(page_index).clear()
+        for page_index in self._materialized_in(src, size):
+            self._page(page_index + shift)[:] = pages[page_index]

@@ -210,7 +210,7 @@ class GraphExecutor:
                 for op in ops:
                     yield from self.run_op(op, cpu_priority=cpu_priority)
 
-    def step(self, graph: ComputationGraph, cpu_priority: float = 0.0, before=None):
+    def step(self, graph: ComputationGraph, before=None):
         """One decode step: run ``before()`` then ``graph`` (generator).
 
         ``before`` — a generator-producing callable, or None — runs
@@ -226,7 +226,7 @@ class GraphExecutor:
         smc0 = self.npu_overhead_time
         if before is not None:
             yield from before()
-        yield from self.execute(graph, cpu_priority=cpu_priority)
+        yield from self.execute(graph)
         step_time = self.sim.now - start
         cpu_d = self.cpu_busy_time - cpu0
         npu_d = self.npu_busy_time - npu0
@@ -316,7 +316,6 @@ def decode_tokens(
     context_tokens: int,
     n_tokens: int,
     use_npu: Union[bool, str] = "auto",
-    cpu_priority: float = 0.0,
     grow_hook=None,
     stop_hook=None,
 ):
@@ -347,7 +346,7 @@ def decode_tokens(
             break
         size_decode_attention(model, attention, [tokens])
         before = None if grow_hook is None else partial(grow_hook, tokens)
-        step_time, attribution = yield from executor.step(graph, cpu_priority, before)
+        step_time, attribution = yield from executor.step(graph, before)
         result.step_times.append(step_time)
         result.attribution.append(attribution)
         result.token_ids.append(sample_token(model.model_id, step, model.vocab))

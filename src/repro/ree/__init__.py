@@ -12,7 +12,7 @@ from .cma import CMARegion, MigrationRecord
 from .filesystem import FileSystem
 from .kernel import REEKernel
 from .npu_driver import REENPUDriver, ShadowJob
-from .pages import Allocation, FrameDB, FrameState
+from .pages import Allocation, FrameDB
 from .s2pt import S2PTProtection, S2PTState, s2pt_slowdown
 from .scheduler import REEScheduler, REEThread
 from .tz_driver import TZDriver
@@ -23,7 +23,6 @@ __all__ = [
     "CMARegion",
     "FileSystem",
     "FrameDB",
-    "FrameState",
     "MigrationRecord",
     "REEKernel",
     "REENPUDriver",

@@ -6,7 +6,10 @@ when the rest of memory is full; to hand out a contiguous run the CMA then
 migrates those pages out: it takes a destination frame outside the region,
 **copies the page's bytes** in simulated physical memory, retargets the
 owning allocation, and frees the source frame — exactly the kernel's
-sequence described in §2.2.
+sequence described in §2.2.  A run is migrated in one pass: its owners
+are read once, and each occupied frame in turn takes its destination, has
+its bytes copied and is retargeted, so the bytes match ownership wherever
+another process can look.
 
 Timing: migration is charged at the calibrated 1.9 GB/s single-thread
 throughput, scaling with ``threads**alpha`` (α=0.5 reproduces the paper's
@@ -30,7 +33,7 @@ from ..errors import (
 from ..hw.memory import PhysicalMemory
 from ..sim import Simulator
 from .buddy import BuddyAllocator
-from .pages import Allocation, FrameDB, FrameState
+from .pages import Allocation, FrameDB
 
 __all__ = ["CMARegion", "MigrationRecord"]
 
@@ -148,39 +151,52 @@ class CMARegion:
             metrics.counter(
                 "cma_allocations_total", "Contiguous runs carved from CMA regions"
             ).inc(region=self.name)
+        db = self.db
+        stop = start_frame + n_frames
         migrated_bytes = 0
-        for frame in range(start_frame, start_frame + n_frames):
-            state = self.db.state(frame)
-            if state is FrameState.FREE:
-                continue
-            if state is FrameState.UNMOVABLE:
+        occupied = db.occupied(start_frame, stop)
+        i = 0
+        while i < len(occupied):
+            frame, owner = occupied[i]
+            i += 1
+            if not owner.movable:
                 raise MemoryError_("unmovable page inside CMA region %s" % self.name)
             attempt = 1
-            while True:
-                try:
-                    migrated_bytes += self._migrate_out(frame)
-                    break
-                except MigrationError:
-                    # Fallback: the pin is transient — back off (with the
-                    # run's other migrations still batched) and retry the
-                    # frame a bounded number of times before surfacing.
-                    if attempt >= self.migration_retry_attempts:
-                        raise
-                    self.migration_retries += 1
-                    if metrics is not None:
-                        metrics.counter(
-                            "cma_migration_retries_total",
-                            "Migration retries after transient pins",
-                        ).inc(region=self.name)
-                    if self.recorder is not None:
-                        self.recorder.record(
-                            "retry", "cma.migration_fail",
-                            "retrying pinned frame", frame=frame, attempt=attempt,
-                        )
-                    yield self.sim.timeout(
-                        self.migration_retry_backoff * (2 ** (attempt - 1))
+            while self._pinned(frame):
+                # Fallback: the pin is transient — back off and retry the
+                # frame a bounded number of times before surfacing.
+                if attempt >= self.migration_retry_attempts:
+                    raise MigrationError(
+                        "frame %d transiently pinned during migration out of %s"
+                        % (frame, self.name)
                     )
-                    attempt += 1
+                self.migration_retries += 1
+                if metrics is not None:
+                    metrics.counter(
+                        "cma_migration_retries_total",
+                        "Migration retries after transient pins",
+                    ).inc(region=self.name)
+                if self.recorder is not None:
+                    self.recorder.record(
+                        "retry", "cma.migration_fail",
+                        "retrying pinned frame", frame=frame, attempt=attempt,
+                    )
+                yield self.sim.timeout(
+                    self.migration_retry_backoff * (2 ** (attempt - 1))
+                )
+                attempt += 1
+                # Others ran meanwhile: read this frame and the rest of
+                # the run again.
+                owner = db.owner(frame)
+                if owner is None:
+                    raise MemoryError_("occupied frame %d has no owner" % frame)
+                occupied, i = db.occupied(frame + 1, stop), 0
+            dest = self.buddy.take_frame_outside()
+            if self.memory is not None:
+                self.memory.copy_range(db.frame_addr(frame), db.frame_addr(dest), db.granule)
+            db.move_frame(owner, frame, dest)
+            self._free.add(frame)
+            migrated_bytes += db.granule
         if migrated_bytes:
             start = self.sim.now
             burst = self.migration_seconds(migrated_bytes, threads)
@@ -206,32 +222,20 @@ class CMARegion:
             self._free.discard(frame)
         return self.db.claim(frames, movable=False, tag=tag or self.name, contiguous=True)
 
-    def _migrate_out(self, frame: int) -> int:
-        """Move one movable granule out of the region. Returns bytes moved."""
-        owner = self.db.owner(frame)
-        if owner is None:
-            raise MemoryError_("occupied frame %d has no owner" % frame)
-        if self.fault_injector is not None and self.fault_injector.fires(
+    def _pinned(self, frame: int) -> bool:
+        """One attempt to move ``frame`` out: whether fault site
+        ``cma.migration_fail`` pins it."""
+        if self.fault_injector is None or not self.fault_injector.fires(
             "cma.migration_fail"
         ):
-            self.migration_failures += 1
-            if self.recorder is not None:
-                self.recorder.record(
-                    "fault", "cma.migration_fail", "frame transiently pinned",
-                    frame=frame, region=self.name,
-                )
-            raise MigrationError(
-                "frame %d transiently pinned during migration out of %s"
-                % (frame, self.name)
+            return False
+        self.migration_failures += 1
+        if self.recorder is not None:
+            self.recorder.record(
+                "fault", "cma.migration_fail", "frame transiently pinned",
+                frame=frame, region=self.name,
             )
-        dest = self.buddy.take_frame_outside()
-        if self.memory is not None:
-            self.memory.copy_range(
-                self.db.frame_addr(frame), self.db.frame_addr(dest), self.db.granule
-            )
-        self.db.move_frame(owner, frame, dest)
-        self._free.add(frame)
-        return self.db.granule
+        return True
 
     def release(self, alloc: Allocation) -> None:
         """Return a contiguous allocation's frames to the region."""

@@ -10,27 +10,19 @@ Linux rule the paper relies on).
 The database is purely functional bookkeeping; allocators charge simulated
 time themselves.  Allocations hold their granules as a set so migration
 (retargeting one granule) is O(1) even for multi-GB allocations, and
-claim and release check and set whole runs of consecutive granules.
+claim and release check and set whole runs of consecutive granules,
+found in a sorted list without a step per granule.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..config import PAGE_SIZE
 from ..errors import ConfigurationError, MemoryError_
 
-__all__ = ["FrameState", "Allocation", "FrameDB"]
-
-
-class FrameState(enum.Enum):
-    """Occupancy state of one granule."""
-
-    FREE = "free"
-    MOVABLE = "movable"
-    UNMOVABLE = "unmovable"
+__all__ = ["Allocation", "FrameDB"]
 
 
 class Allocation:
@@ -80,11 +72,8 @@ class Allocation:
 
 
 class FrameDB:
-    """Ownership of every granule of physical RAM.
-
-    A granule's state follows from its owner: FREE when it has none,
-    else MOVABLE or UNMOVABLE as its allocation is.
-    """
+    """Ownership of every granule of physical RAM: a granule is free when
+    it has no owner, else movable or unmovable as its allocation is."""
 
     def __init__(self, total_bytes: int, granule: int = PAGE_SIZE):
         if granule % PAGE_SIZE != 0 or granule <= 0:
@@ -110,20 +99,22 @@ class FrameDB:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def state(self, frame: int) -> FrameState:
-        alloc_id = self._owner[frame]
-        if alloc_id is None:
-            return FrameState.FREE
-        if self._allocations[alloc_id].movable:
-            return FrameState.MOVABLE
-        return FrameState.UNMOVABLE
-
     def owner(self, frame: int) -> Optional[Allocation]:
         alloc_id = self._owner[frame]
         return self._allocations.get(alloc_id) if alloc_id is not None else None
 
     def allocation(self, alloc_id: int) -> Allocation:
         return self._allocations[alloc_id]
+
+    def occupied(self, start: int, stop: int) -> List[Tuple[int, Allocation]]:
+        """The owned granules of ``[start, stop)``, ascending, each with
+        its allocation."""
+        allocations = self._allocations
+        return [
+            (frame, allocations[alloc_id])
+            for frame, alloc_id in enumerate(self._owner[start:stop], start)
+            if alloc_id is not None
+        ]
 
     @property
     def free_frames(self) -> int:
@@ -141,7 +132,7 @@ class FrameDB:
     ) -> Allocation:
         frames = list(frames)
         owner = self._owner
-        runs = _runs(frames)
+        runs = _runs(sorted(set(frames)))
         for start, stop in runs:
             if owner[start:stop].count(None) != stop - start:
                 bad = next((f for f in frames if owner[f] is not None), start)
@@ -186,7 +177,8 @@ class FrameDB:
             del self._allocations[alloc.alloc_id]
 
     def move_frame(self, alloc: Allocation, old: int, new: int) -> None:
-        """Retarget one granule of a movable allocation (after a copy)."""
+        """Retarget one granule of a movable allocation (migration; the
+        caller copies its bytes)."""
         if not alloc.movable:
             raise MemoryError_("cannot migrate unmovable allocation %d" % alloc.alloc_id)
         if self._owner[new] is not None:
@@ -199,16 +191,30 @@ class FrameDB:
 
 
 def _runs(frames: List[int]) -> List[Tuple[int, int]]:
-    """The maximal runs of consecutive ascending frames in ``frames``, in
-    list order, as half-open ``(start, stop)`` pairs."""
-    if not frames:
-        return []
+    """The maximal runs of consecutive frames in the strictly ascending
+    ``frames``, in order, as half-open ``(start, stop)`` pairs.
+
+    ``frames[i + j] == frames[i] + j`` holds for every ``j`` below the
+    length of the run that starts at ``i`` and, as the list strictly
+    ascends, for none past it: each run's end is found by galloping to a
+    ``j`` where the test fails, then bisecting, in time logarithmic in
+    the run's length.
+    """
     runs = []
-    start = prev = frames[0]
-    for frame in itertools.islice(frames, 1, None):
-        if frame != prev + 1:
-            runs.append((start, prev + 1))
-            start = frame
-        prev = frame
-    runs.append((start, prev + 1))
+    n = len(frames)
+    i = 0
+    while i < n:
+        start = frames[i]
+        lo, hi = 0, 1  # the test holds at lo; at hi it fails or runs off the end
+        while i + hi < n and frames[i + hi] == start + hi:
+            lo, hi = hi, 2 * hi
+        hi = min(hi, n - i)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if frames[i + mid] == start + mid:
+                lo = mid
+            else:
+                hi = mid
+        runs.append((start, start + hi))
+        i += hi
     return runs

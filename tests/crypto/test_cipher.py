@@ -1,11 +1,22 @@
 """Unit and property tests for the stream cipher."""
 
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CryptoSpec, GB
-from repro.crypto import KEY_SIZE, NONCE_SIZE, decrypt, decrypt_duration, encrypt, derive_key
+from repro.crypto import (
+    KEY_SIZE,
+    NONCE_SIZE,
+    decrypt,
+    decrypt_duration,
+    derive_key,
+    encrypt,
+    keystream_xor,
+)
 from repro.errors import ConfigurationError
 
 KEY = derive_key(b"seed", "test")
@@ -57,6 +68,25 @@ def test_roundtrip_at_any_offset(data, offset):
 def test_ciphertext_differs_from_plaintext(data):
     # A keystream collision of 32+ bytes of zeros is cryptographically absurd.
     assert encrypt(KEY, NONCE, data) != data
+
+
+def keystream_xor_per_byte(key, nonce, data, offset=0):
+    """Reference: one SHA-256 per 32-byte counter block, XORed byte by byte."""
+    out = bytearray(len(data))
+    for pos in range(len(data)):
+        counter, index = divmod(offset + pos, 32)
+        block = hashlib.sha256(key + nonce + struct.pack(">Q", counter)).digest()
+        out[pos] = data[pos] ^ block[index]
+    return bytes(out)
+
+
+@given(
+    data=st.integers(0, 300).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+    offset=st.integers(0, 3) | st.integers(0, 4).map(lambda k: 32 * k + 31) | st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_keystream_xor_matches_the_per_byte_reference(data, offset):
+    assert keystream_xor(KEY, NONCE, data, offset) == keystream_xor_per_byte(KEY, NONCE, data, offset)
 
 
 def test_decrypt_duration_matches_paper_anchor():

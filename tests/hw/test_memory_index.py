@@ -4,14 +4,14 @@ A small PhysicalMemory and a flat bytearray take the same random
 operations — raw, bulk and CPU writes, scrubs and copies, with ranges
 that cross page and 1 MiB boundaries or were never written.  Bulk writes
 also draw blobs equal to the bytes already in place or starting with
-them, and copies draw page-aligned pairs
-(``dst - src`` a page multiple, the page-to-page path) as well as
-misaligned ones; overlapping copies must be refused.  The bytes must
-agree everywhere afterwards (a page stores only its written extent, and
-reads as zero past it), the index must list exactly the materialized
-pages in ascending order, and the TZASC-filtered entry points must still
-refuse the non-secure world.  After every operation, the write clock
-must list each page whose bytes it changed, and only materialized pages.
+them.  Copies draw page-aligned ranges, near a boundary or anywhere, as
+well as arbitrary ones; misaligned and overlapping copies must be
+refused.  The bytes must agree everywhere afterwards (a page stores only
+its written extent, and reads as zero past it), the index must list
+exactly the materialized pages in ascending order, and the
+TZASC-filtered entry points must still refuse the non-secure world.
+After every operation, the write clock must list each page whose bytes
+it changed, and only materialized pages.
 """
 
 import pytest
@@ -42,20 +42,10 @@ blob_or_in_place = st.one_of(
 )
 world = st.sampled_from([S, N])
 span = st.integers(0, MiB + 3 * PG)
-#: ``(src, dst)`` whose distance is a whole number of pages: near two
-#: boundaries, where the writes land, or anywhere.
-aligned_pair = st.one_of(
-    st.builds(
-        lambda a, b, off: (a + off, b + off),
-        st.sampled_from(BOUNDARIES),
-        st.sampled_from(BOUNDARIES),
-        st.integers(-96, 96),
-    ),
-    st.builds(
-        lambda src, pages: (src, src + pages * PG),
-        address,
-        st.integers(-(TOTAL // PG) + 1, TOTAL // PG - 1).filter(bool),
-    ),
+#: a page-aligned address, near a boundary or anywhere.
+page_address = st.one_of(
+    st.sampled_from(BOUNDARIES),
+    st.integers(0, TOTAL // PG - 1).map(lambda page: page * PG),
 )
 operation = st.one_of(
     st.tuples(st.just("raw_write"), address, blob),
@@ -63,7 +53,10 @@ operation = st.one_of(
     st.tuples(st.just("cpu_write"), address, blob, world),
     st.tuples(st.just("scrub"), address, span, world),
     st.tuples(st.just("copy"), address, address, span),
-    st.builds(lambda pair, size: ("copy",) + pair + (size,), aligned_pair, span),
+    st.tuples(
+        st.just("copy"), page_address, page_address, st.integers(0, 3).map(lambda n: n * PG)
+    ),
+    st.tuples(st.just("copy"), page_address, page_address, span.map(lambda n: n - n % PG)),
 )
 
 
@@ -153,7 +146,8 @@ def act(mem, ref, op):
     else:
         _, src, dst, size = op
         overlap = src < dst + size and dst < src + size
-        if overlap or min(src, dst) < 0 or max(src, dst) + size > TOTAL:
+        misaligned = (src | dst | size) % PG
+        if misaligned or overlap or min(src, dst) < 0 or max(src, dst) + size > TOTAL:
             with pytest.raises(ConfigurationError):
                 mem.copy_range(src, dst, size)
         else:
@@ -181,7 +175,8 @@ def test_scrub_then_rewrite_and_copy_across_chunk_boundaries():
         ("write_many", [(MiB - 70, b"x" * 140), (3 * MiB + 8, b"y" * 64)]),
         ("scrub", 2 * MiB - PG, 2 * PG, S),  # zero part of materialized pages
         ("raw_write", 2 * MiB - 10, b"again"),  # written again after zeroing
-        ("copy", 2 * MiB - 2 * PG, 3 * MiB - PG - 7, 3 * PG),  # misaligned copy
+        ("copy", 2 * MiB - 2 * PG, 3 * MiB - PG - 7, 3 * PG),  # misaligned: refused
+        ("copy", 2 * MiB - 2 * PG, 3 * MiB - PG, 3 * PG),  # across both boundaries
         ("copy", 0, 3 * MiB, MiB),  # never-written source zeroes the destination
     ]:
         apply(mem, ref, op)
@@ -201,34 +196,28 @@ def test_copies_zero_stale_destination_pages_the_source_lacks():
         apply(mem, ref, op)
     assert mem._raw_read(MiB + PG, PG) == bytes(PG)
     assert mem._materialized == [0, 2, 256, 257, 258, 259]
-    # Misaligned: destination page 513 takes its first 100 bytes from the
-    # absent source page 3 and the rest from source page 4.
-    for op in [
-        ("raw_write", 4 * PG, b"c" * PG),
-        ("raw_write", 2 * MiB + PG, b"stale" * 20),
-        ("copy", 3 * PG, 2 * MiB + 100, 2 * PG),
-    ]:
-        apply(mem, ref, op)
-    assert mem._raw_read(2 * MiB + PG, 100) == bytes(100)
+    assert mem._pages[257] == mem._pages[259] == b""
     assert mem._raw_read(0, TOTAL) == bytes(ref)
 
 
 def test_aligned_copy_with_partial_edge_pages():
+    """A copy whose distance is a page multiple but whose ends fall inside
+    pages is refused and writes nothing; the whole pages around it copy."""
     mem = new_memory()
     ref = bytearray(TOTAL)
     pattern = bytes(range(256)) * (3 * PG // 256)
     for op in [
         ("raw_write", PG, pattern),  # source pages 1-3, full
         ("raw_write", 2 * MiB, b"x" * (5 * PG)),  # destination pages 512-516
-        # [PG + 100, 4 PG - 50) onto [2 MiB + 100, 2 MiB + 3 PG - 50): the
-        # edge pages keep their bytes outside the copied slice.
         ("copy", PG + 100, 2 * MiB + 100, 3 * PG - 150),
-        # a source that ends inside a page, onto fresh destination pages
-        ("copy", PG + 10, 3 * MiB + 10, PG + 20),
+        ("copy", PG + 10, 3 * MiB + 10, PG + 20),  # onto fresh pages
     ]:
         apply(mem, ref, op)
+    assert mem._raw_read(2 * MiB, 5 * PG) == b"x" * (5 * PG)
+    assert 768 not in mem._pages
+    apply(mem, ref, ("copy", PG, 2 * MiB, 3 * PG))
     assert mem._raw_read(0, TOTAL) == bytes(ref)
-    assert mem._raw_read(2 * MiB, 100) == b"x" * 100
+    assert mem._raw_read(2 * MiB + 3 * PG, 2 * PG) == b"x" * (2 * PG)
     assert mem._materialized == sorted(mem._pages)
 
 
@@ -237,9 +226,11 @@ def test_overlapping_copy_is_refused():
     data = bytes(range(256)) * (PG // 256)
     mem._raw_write(0, data)
     with pytest.raises(ConfigurationError):
-        mem.copy_range(0, PG // 2, PG)  # would have read its own zeroing
+        mem.copy_range(0, PG, 2 * PG)  # would have read its own emptying
     with pytest.raises(ConfigurationError):
-        mem.copy_range(PG, 0, PG + 1)
+        mem.copy_range(PG, 0, 2 * PG)
+    with pytest.raises(ConfigurationError):
+        mem.copy_range(0, PG // 2, PG)  # misaligned, and overlapping
     assert mem._raw_read(0, PG) == data
     mem.copy_range(0, PG, PG)  # adjacent ranges do not overlap
     mem.copy_range(0, 0, 0)  # nor do empty ones

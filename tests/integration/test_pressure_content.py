@@ -3,12 +3,13 @@
 A ``MemoryStress`` sweep stamps only the frames new to it or whose first
 page physical memory's write clock lists as written since its last sweep
 (``PhysicalMemory.written_since``), and CMA migration copies a granule
-page to page, zeroing only the stale destination pages no source page
+page to page, emptying only the stale destination pages no source page
 covers (``copy_range``).  The reference trusts no clock: every
 materialized page counts as written, so each sweep stamps every mapped
 frame, one ``_raw_write`` per blob, and a copy first zeroes the
 destination's materialized pages, then writes each materialized source
-page's slice.  Several sweeps and cold restores on a small pressured
+page's slice; the test checks that the restores' migrations ran through
+that copy.  Several sweeps and cold restores on a small pressured
 stack must leave every page's bytes (read as whole pages, zeros past a
 page's stored extent included) and the materialized index after each
 sweep and each restore, and the inference records and the clock, exactly
@@ -105,11 +106,18 @@ def sweeps_and_restores():
 
 def test_sweeps_and_restores_match_plain_writes(monkeypatch):
     shipped = sweeps_and_restores()
+    copied = []
+
+    def copy_range(self, src, dst, size):
+        copied.append((src, dst))
+        zero_then_write(self, src, dst, size)
+
     with monkeypatch.context() as patch:
         patch.setattr(PhysicalMemory, "written_since", every_page_written)
         patch.setattr(PhysicalMemory, "_raw_write_many", write_each)
-        patch.setattr(PhysicalMemory, "copy_range", zero_then_write)
+        patch.setattr(PhysicalMemory, "copy_range", copy_range)
         reference = sweeps_and_restores()
+    assert copied  # the restores' migrations ran through the plain writes
     assert shipped["reclaimed"] > 0 and all(shipped["surviving"])
     assert shipped["snapshots"][-1][0] == sorted(shipped["pages"])
     assert shipped == reference

@@ -11,7 +11,7 @@ from repro.config import PAGE_SIZE, MemorySpec
 from repro.errors import ConfigurationError, MemoryError_, OutOfMemory
 from repro.ree.buddy import BuddyAllocator
 from repro.ree.cma import CMARegion
-from repro.ree.pages import FrameDB, FrameState
+from repro.ree.pages import FrameDB, _runs
 from repro.sim import Simulator
 
 PG = PAGE_SIZE
@@ -37,10 +37,8 @@ def test_framedb_validates_geometry():
 def test_claim_and_release_roundtrip():
     db = make_db()
     alloc = db.claim([1, 2, 3], movable=True, tag="t")
-    assert db.state(2) is FrameState.MOVABLE
-    assert db.owner(2) is alloc
+    assert db.owner(2) is alloc and alloc.movable
     db.release(alloc)
-    assert db.state(2) is FrameState.FREE
     assert db.owner(2) is None
     with pytest.raises(MemoryError_):
         db.release(alloc)  # double free
@@ -57,8 +55,7 @@ def test_move_frame_retargets_allocation():
     db = make_db()
     alloc = db.claim([10], movable=True, tag="app")
     db.move_frame(alloc, 10, 20)
-    assert db.state(10) is FrameState.FREE
-    assert db.state(20) is FrameState.MOVABLE
+    assert db.owner(10) is None and db.owner(20) is alloc
     assert alloc.owns(20) and not alloc.owns(10)
 
 
@@ -74,7 +71,7 @@ def test_release_frames_partial():
     alloc = db.claim([1, 2, 3, 4], movable=False, tag="x")
     db.release_frames(alloc, [3, 4])
     assert alloc.n_frames == 2
-    assert db.state(3) is FrameState.FREE
+    assert db.owner(3) is None
     db.release_frames(alloc, [1, 2])
     assert alloc.freed
 
@@ -286,7 +283,62 @@ def test_run_release_rejects_a_frame_owned_by_another_allocation():
         db.release(a)
     assert not a.freed
     assert db.owner(3) is a and db.owner(12) is b
-    assert db.state(3) is FrameState.MOVABLE and db.free_frames == 44
+    assert db.free_frames == 44
+
+
+def runs_per_frame(frames):
+    """Reference: the runs of ``frames`` found one frame at a time."""
+    runs = []
+    for frame in frames:
+        if runs and frame == runs[-1][1]:
+            runs[-1] = (runs[-1][0], frame + 1)
+        else:
+            runs.append((frame, frame + 1))
+    return runs
+
+
+@given(
+    start=st.integers(0, 10**6),
+    # (run length, step to the next run): steps of 2 leave one-frame gaps
+    segments=st.lists(
+        st.tuples(st.integers(1, 70) | st.just(1), st.sampled_from([2, 2, 3, 1000])),
+        max_size=12,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_runs_match_the_per_frame_walk(start, segments):
+    frames = []
+    for length, step in segments:
+        frames += range(start, start + length)
+        start += length - 1 + step
+    assert _runs(frames) == runs_per_frame(frames)
+
+
+@given(
+    taken=st.sets(st.integers(0, 95), max_size=6),
+    head=st.sets(st.integers(0, 63), max_size=40),
+    spill=st.sets(st.integers(64, 95), max_size=32),
+)
+@settings(max_examples=200, deadline=None)
+def test_claim_of_the_buddy_shape_matches_a_per_frame_claim(taken, head, spill):
+    # the buddy's claims: an ascending head from outside the CMA regions,
+    # then a descending spill from a region
+    frames = sorted(head) + sorted(spill, reverse=True)
+    db = make_db(96)
+    if taken:
+        db.claim(sorted(taken), movable=True, tag="taken")
+    owners = list(db._owner)
+    first_taken = next((f for f in frames if owners[f] is not None), None)
+    if first_taken is not None:
+        with pytest.raises(MemoryError_, match="frame %d is not free$" % first_taken):
+            db.claim(frames, movable=True, tag="new")
+        assert db._owner == owners
+    elif frames:
+        alloc = db.claim(frames, movable=True, tag="new")
+        for frame in frames:
+            owners[frame] = alloc.alloc_id
+        assert db._owner == owners
+        assert list(alloc.frames) == list(set(frames))
 
 
 class HeapPoolBuddy(BuddyAllocator):
