@@ -13,9 +13,8 @@ from .metrics import (
     percent_change,
     percentile,
     reduction,
-    speedup,
 )
-from .tables import render_bars, render_table
+from .tables import render_table
 
 __all__ = [
     "LatencySummary",
@@ -29,7 +28,5 @@ __all__ = [
     "percent_change",
     "percentile",
     "reduction",
-    "render_bars",
     "render_table",
-    "speedup",
 ]

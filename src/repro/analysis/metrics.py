@@ -15,7 +15,6 @@ __all__ = [
     "mean",
     "percent_change",
     "percentile",
-    "speedup",
     "reduction",
 ]
 
@@ -43,13 +42,6 @@ def percent_change(new: float, old: float) -> float:
     if old == 0:
         raise ConfigurationError("percent change from zero")
     return (new - old) / old * 100.0
-
-
-def speedup(old: float, new: float) -> float:
-    """old/new: how many times faster ``new`` is."""
-    if new == 0:
-        raise ConfigurationError("speedup to zero time")
-    return old / new
 
 
 def reduction(old: float, new: float) -> float:

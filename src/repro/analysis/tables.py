@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-__all__ = ["render_table", "render_bars"]
+__all__ = ["render_table"]
 
 
 def render_table(
@@ -27,26 +27,6 @@ def render_table(
     lines.append(sep)
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def render_bars(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    unit: str = "",
-    title: Optional[str] = None,
-) -> str:
-    """Horizontal ASCII bars (one figure series)."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    top = max(values) if values else 1.0
-    top = top if top > 0 else 1.0
-    label_w = max((len(l) for l in labels), default=0)
-    for label, value in zip(labels, values):
-        bar = "#" * max(1, int(round(value / top * width))) if value > 0 else ""
-        lines.append("%s | %s %.4g%s" % (label.ljust(label_w), bar.ljust(width), value, unit))
     return "\n".join(lines)
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "S2PTSpec",
     "PlatformSpec",
     "RK3588",
-    "small_test_platform",
 ]
 
 KiB = 1024
@@ -195,8 +194,3 @@ class PlatformSpec:
 
 #: The paper's testbed.
 RK3588 = PlatformSpec()
-
-
-def small_test_platform(total_bytes: int = 64 * MiB) -> PlatformSpec:
-    """A shrunken platform for fast unit tests (same rates, tiny RAM)."""
-    return RK3588.with_memory(total_bytes)

@@ -17,7 +17,7 @@ from .caching import (
     ThresholdProfiler,
 )
 from .llm_ta import InferenceRecord, LLMTA, PreemptionGate
-from .obfuscation import apply_size_obfuscation, quantize_duration
+from .obfuscation import apply_size_obfuscation
 from .pipeline import PipelineConfig, PipelineMetrics, PrefillPipeline
 from .restore_graph import RestorationPlan, RestoreGroup, build_restoration_plan
 from .system import PAPER_PRESSURE, REELLM, TZLLM, provision_model, strawman
@@ -47,7 +47,6 @@ __all__ = [
     "TZLLM",
     "apply_size_obfuscation",
     "build_restoration_plan",
-    "quantize_duration",
     "provision_model",
     "strawman",
 ]

@@ -1,12 +1,14 @@
-"""Continuous batching for the TEE decode path (vLLM/Orca-style).
+"""Continuous batching: the one decode path of the TEE (vLLM/Orca-style).
 
-The paper's TA serves one inference at a time (§4.2): the data region
-holds a single request's KV range and is fully released afterwards.
-This module multiplexes the *decode* phase instead: one
-:class:`DecodeBatchEngine` per TA runs every in-flight sequence through
-a shared fused :class:`~repro.llm.runtime.GraphExecutor` step, admitting
-new sequences from a waiting queue at token boundaries and evicting
-preempted ones by *parking* their KV blocks (the block list survives;
+Every LLM TA decodes through one :class:`DecodeBatchEngine`, which runs
+every in-flight sequence through a shared fused
+:class:`~repro.llm.runtime.GraphExecutor` step, admitting new sequences
+from a waiting queue at token boundaries.  The paper's TA serves one
+inference at a time (§4.2): that is the engine at ``max_batch_size=1``,
+the default.  There a preempted sequence releases its blocks and the
+gateway restarts the request, so the data region is fully released
+after each request (Fig. 7b).  A larger engine instead evicts a
+preempted sequence by *parking* its KV blocks (the block list survives;
 resume re-joins the batch without re-running prefill).
 
 Memory stays inside the paper's model: all KV blocks live in the second
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, OutOfMemory
 from ..llm.graph import (
@@ -94,9 +96,8 @@ class BatchConfig:
 class SharedNPUBackend(NPUBackend):
     """Serialize one physical NPU between prefill and the decode stepper.
 
-    Per-request backends never overlapped in the single-stream design;
-    with batching, a restoration pipeline's secure jobs and the decode
-    batch's fused-step jobs would interleave inside the co-driver's
+    A restoration pipeline's secure jobs and the decode batch's
+    fused-step jobs would otherwise interleave inside the co-driver's
     sequence-number protocol.  A capacity-1 resource keeps whole jobs
     atomic (the device runs one job at a time anyway).
     """
@@ -137,6 +138,9 @@ class BatchedSequence:
     done: object = None
     gate: Optional[object] = None  # PreemptionGate (callable) or None
     request_id: Optional[int] = None
+    #: §8 parameter streaming: a generator-producing callable run inside
+    #: each fused step's wall time, before its compute (None = resident).
+    stream: Optional[Callable] = None
     #: decode-step index, global across park/resume — it keys
     #: ``sample_token``, which is what makes a resumed stream identical
     #: to an unpreempted one.
@@ -196,7 +200,7 @@ class DecodeBatchEngine:
             ta.model, config.block_tokens, config.resolved_budget(ta.max_tokens)
         )
         #: content-addressed residency index over the pool's blocks
-        #: (``None`` when sharing is off: zero overhead, legacy behavior).
+        #: (``None`` when sharing is off, at zero overhead).
         self.tree: Optional[PrefixTree] = (
             PrefixTree(self.pool) if config.prefix_sharing else None
         )
@@ -288,11 +292,13 @@ class DecodeBatchEngine:
         gate=None,
         request_id=None,
         prefill_tokens: int = 0,
+        stream=None,
     ) -> BatchedSequence:
         """Queue a sequence for decode; returns the sequence whose
         ``done`` event fires when it finishes, evicts, or fails.  A
         nonzero ``prefill_tokens`` enters the sequence still owing that
-        many miss-suffix tokens of in-batch chunked prefill."""
+        many miss-suffix tokens of in-batch chunked prefill; ``stream``
+        is its per-token parameter-streaming hook."""
         seq = BatchedSequence(
             model_id=self.ta.model.model_id,
             kv=kv,
@@ -300,6 +306,7 @@ class DecodeBatchEngine:
             target_tokens=target_tokens,
             request_id=request_id,
             prefill_remaining=prefill_tokens,
+            stream=stream,
         )
         return self._enqueue(seq, gate)
 
@@ -417,21 +424,18 @@ class DecodeBatchEngine:
         seq.done.succeed(seq)
 
     def _sweep_gates(self) -> None:
-        """Token-boundary preemption: evict gated sequences, parking the
-        ones the gateway can resume (a request identity is required to
-        key the parked checkpoint)."""
-        for seq in list(self.active):
-            if seq.gate is not None and seq.gate():
-                self.active.remove(seq)
+        """Token-boundary preemption: evict gated sequences.  A batching
+        engine parks the ones the gateway can resume (a request identity
+        is required to key the parked checkpoint).  At
+        ``max_batch_size == 1`` a victim is not parked: its attempt
+        releases its blocks and the gateway restarts it, as the paper's
+        TA does, so no request holds the data region across requests."""
+        park = self.config.max_batch_size > 1
+        for queue in (self.active, self.waiting):
+            for seq in [s for s in queue if s.gate is not None and s.gate()]:
+                queue.remove(seq)
                 self.evictions += 1
-                if seq.request_id is not None:
-                    self.park(seq, self.sim.now)
-                self._retire(seq, "evicted")
-        for seq in list(self.waiting):
-            if seq.gate is not None and seq.gate():
-                self.waiting.remove(seq)
-                self.evictions += 1
-                if seq.request_id is not None:
+                if park and seq.request_id is not None:
                     self.park(seq, self.sim.now)
                 self._retire(seq, "evicted")
 
@@ -561,7 +565,12 @@ class DecodeBatchEngine:
                 if batch:
                     graph = self._decode_graph([seq.kv.tokens for seq in batch])
                     try:
-                        step_time, attribution = yield from executor.step(graph)
+                        # Only a B=1 engine streams parameters (LLMTA
+                        # refuses streaming with batching), so a
+                        # streaming step computes one sequence.
+                        step_time, attribution = yield from executor.step(
+                            graph, batch[0].stream
+                        )
                     except Exception as exc:
                         # A faulted fused step (TEE job hang, watchdog)
                         # fails every sequence it was computing: each

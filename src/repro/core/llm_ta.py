@@ -9,9 +9,13 @@ One TA instance owns two secure regions (§4.2):
   contexts, allocated at inference start and fully released at the end.
 
 An inference request runs: framework init (checkpoint restore, or cold
-init on the first request) → KV/activation region setup → pipelined
-prefill → decode loop with secure NPU jobs → data-region release and
-cache-policy-driven parameter release.
+init on the first request) → the prompt's KV blocks, then the
+KV/activation region that backs them → pipelined prefill → decode in the
+TA's :class:`~repro.core.batch.DecodeBatchEngine` with secure NPU jobs →
+data-region release and cache-policy-driven parameter release.  The
+engine is the one decode path: by default it holds one sequence
+(``BatchConfig(max_batch_size=1)``), the paper's one-request-at-a-time
+TA; a larger batch size multiplexes decode across requests.
 """
 
 from __future__ import annotations
@@ -22,19 +26,12 @@ from typing import Dict, Optional, Union
 from ..config import PlatformSpec
 from ..errors import ConfigurationError, StorageError
 from ..faults.recovery import RecoveryPolicy
-from ..hw.common import AddrRange
 from ..llm.checkpoint import cold_init, restore_checkpoint, save_checkpoint
 from ..llm.gguf import ModelContainer, container_path
 from ..llm.graph import build_chunked_prefill_graph, build_prefill_graph
 from ..llm.kv_cache import PagedKVCache, PromptSpec
 from ..llm.models import ModelSpec
-from ..llm.runtime import (
-    DecodeResult,
-    GraphExecutor,
-    NPUBackend,
-    TEECoDriverNPUBackend,
-    decode_tokens,
-)
+from ..llm.runtime import DecodeResult, NPUBackend
 from ..llm.tensors import build_tensor_table
 from ..llm.tokenizer import Tokenizer
 from ..sim import Resource
@@ -67,14 +64,16 @@ class PreemptionGate:
     """One request's preemption surface (the serving-scale Fig. 13 path).
 
     The gateway hands the TA a gate per dispatch; requesting it makes the
-    decode loop stop at the next token boundary, after which the TA runs
-    its normal release path (data region shrink, cache-policy parameter
-    release) and returns a record marked ``preempted``.  Preemption is
-    therefore always graceful: the TA stays serviceable and the cached
-    parameter prefix survives for the victim's retry.
+    batch engine evict the sequence at the next token boundary, after
+    which the TA returns a record marked ``preempted``.  At batch size
+    one it first runs its normal release path (data region shrink,
+    cache-policy parameter release); a batching TA parks the sequence's
+    blocks instead.  Preemption is therefore always graceful: the TA
+    stays serviceable and the cached parameter prefix survives for the
+    victim's retry.
 
-    The gate is callable so it can be passed directly as the decode
-    loop's ``stop_hook``.
+    The gate is callable: the batch engine calls it at every token
+    boundary.
     """
 
     __slots__ = ("requested", "cause", "requested_at")
@@ -111,10 +110,10 @@ class InferenceRecord:
     cached_groups: int = 0
     cached_bytes: int = 0
     release_time: float = 0.0
+    #: NPU world-switch time and SMCs the platform spent while the
+    #: request was in the TA (every concurrent request's included).
     world_switch_time: float = 0.0
     smc_count: int = 0
-    #: number of mid-decode KV-region extensions (§4.2 growth).
-    kv_growth_extends: int = 0
     #: §8 streaming-decode extension: bytes streamed per token and the
     #: number of prefetch sweeps issued.
     streamed_bytes_per_token: int = 0
@@ -123,15 +122,14 @@ class InferenceRecord:
     #: decode (serving-gateway priority preemption); the partial decode is
     #: in ``decode`` and the TA ran its normal release path.
     preempted: bool = False
-    #: batched-mode preemption: the sequence's KV block list was *parked*
-    #: instead of released — its tokens survive, and the resumed attempt
-    #: continues the same stream (no work was wasted).
+    #: preemption on a batching TA (``max_batch_size > 1``): the
+    #: sequence's KV block list was *parked* instead of released — its
+    #: tokens survive, and the resumed attempt continues the same stream
+    #: (no work was wasted).
     parked: bool = False
     #: this attempt resumed a previously parked sequence (prefill and the
     #: partial decode were inherited, not re-run).
     resumed: bool = False
-    #: the request ran through the continuous-batching decode engine.
-    batched: bool = False
     #: absolute sim time of the first token — for a resumed attempt this
     #: is the *original* attempt's TTFT instant, which ``started_at +
     #: ttft`` can no longer express.
@@ -139,7 +137,7 @@ class InferenceRecord:
     #: gateway identity from the request's TraceContext (None for direct
     #: CA invocations) — keys the profiler's decode-attribution rows.
     request_id: Optional[int] = None
-    #: shared-prefix accounting (batched sharing path only): prompt
+    #: shared-prefix accounting (prefix-sharing TAs only): prompt
     #: tokens taken as whole-block tree hits (zero compute), tokens
     #: seeded by copy-on-write, and the miss suffix that really
     #: prefilled.  ``hit + cow + miss == prompt_tokens`` when sharing
@@ -147,6 +145,12 @@ class InferenceRecord:
     kv_hit_tokens: int = 0
     kv_cow_tokens: int = 0
     kv_miss_tokens: int = 0
+
+    @property
+    def batched(self) -> bool:
+        """Every request decodes through the TA's batch engine (perfbench
+        reads this flag)."""
+        return True
 
     @property
     def decode_tokens_per_second(self) -> float:
@@ -193,6 +197,14 @@ class LLMTA(TrustedApplication):
         #: deployed behaviour (everything resident while decoding).
         if not 0.0 < decode_param_residency <= 1.0:
             raise ConfigurationError("decode_param_residency must be in (0, 1]")
+        # No batch config: the paper's one-request-at-a-time TA.
+        batch_config = batch_config or BatchConfig(max_batch_size=1)
+        if decode_param_residency < 1.0 and batch_config.max_batch_size > 1:
+            # A stream sweep evicts parameters that a concurrent prefill
+            # or sequence still computes with.
+            raise ConfigurationError(
+                "decode_param_residency < 1 needs max_batch_size == 1"
+            )
         self.decode_param_residency = decode_param_residency
         #: opt-in pipeline tracer (see :mod:`repro.sim.trace`).
         from ..sim.trace import NULL_TRACER
@@ -219,15 +231,12 @@ class LLMTA(TrustedApplication):
         #: the aggregate big-cluster CPU row for decode-phase execution.
         self.cpu = Resource(stack.sim, capacity=1, priority=True, name="ta-cpu")
         self._checkpoint_saved = False
-        #: continuous-batching mode (repro.core.batch); the engine itself
-        #: is wired by setup() once the data region exists.
-        self.batch_config = batch_config
-        self.batch_engine: Optional[DecodeBatchEngine] = None
-        self._prefill_lock: Optional[Resource] = None
-        if batch_config is not None:
-            self._prefill_lock = Resource(
-                stack.sim, capacity=1, name="prefill-lock:" + model.model_id
-            )
+        #: the decode engine (repro.core.batch) and the lock that
+        #: serializes prefill (one §4.1 restoration pipeline at a time).
+        self.batch_engine = DecodeBatchEngine(self, batch_config)
+        self._prefill_lock = Resource(
+            stack.sim, capacity=1, name="prefill-lock:" + model.model_id
+        )
         #: framework state is resident while the batch engine has work.
         self._framework_resident = False
         #: gateway-held KV block reservations awaiting their dispatch.
@@ -238,7 +247,6 @@ class LLMTA(TrustedApplication):
         self.data_region: Optional[SecureRegion] = None
         self.backend: Optional[TEERestoreBackend] = None
         self.model_key: Optional[bytes] = None
-        self._npu_backend: Optional[NPUBackend] = None
 
     # ------------------------------------------------------------------
     # one-time setup (TA install + secure regions + key unwrap)
@@ -292,8 +300,6 @@ class LLMTA(TrustedApplication):
             self.file_path,
             self.model_key,
         )
-        if self.batch_config is not None:
-            self.batch_engine = DecodeBatchEngine(self, self.batch_config)
 
     def _region_name(self, kind: str) -> str:
         return "%s:%s" % (self.model.model_id, kind)
@@ -312,14 +318,12 @@ class LLMTA(TrustedApplication):
         packed container will carry, so nothing is packed or encrypted
         before the device stack exists."""
         plan = _restoration_plan(model, build_tensor_table(model), granule, size_obfuscation)
-        if batch_config is None:
-            data = model.kv_bytes(max_tokens) + model.activation_bytes(max_tokens) + 4096
-        else:
-            # Batched layout: job ctx + worst-case activation scratch,
-            # then the full KV block budget.
-            budget = batch_config.resolved_budget(max_tokens)
-            block_bytes = model.kv_bytes(batch_config.block_tokens)
-            data = 4096 + model.activation_bytes(max_tokens) + budget * block_bytes
+        # Job ctx + worst-case activation scratch, then the full KV
+        # block budget.
+        batch_config = batch_config or BatchConfig(max_batch_size=1)
+        budget = batch_config.resolved_budget(max_tokens)
+        block_bytes = model.kv_bytes(batch_config.block_tokens)
+        data = 4096 + model.activation_bytes(max_tokens) + budget * block_bytes
         data = -(-data // granule) * granule
         return plan.total_alloc_bytes, data
 
@@ -335,22 +339,16 @@ class LLMTA(TrustedApplication):
     @property
     def kv_bytes_in_use(self) -> int:
         """Logical KV footprint: every block of the batch engine's pool
-        (active *and* parked); 0 without a batch engine, whose
-        single-stream KV lives only inside its decode loop.  The
-        leak-regression tests pin this to zero after any faulted
-        inference."""
-        if self.batch_engine is None:
-            return 0
+        (active *and* parked).  The leak-regression tests pin this to
+        zero after any faulted inference."""
         return self.batch_engine.pool.bytes_used
 
     # ------------------------------------------------------------------
-    # batched-mode admission surface (called synchronously by dispatch)
+    # KV admission surface (called synchronously by gateway dispatch)
     # ------------------------------------------------------------------
     def kv_can_admit(
         self, prompt_tokens: int, output_tokens: int, request_id=None, spec=None
     ) -> bool:
-        if self.batch_engine is None:
-            return True
         return self.batch_engine.can_admit(prompt_tokens, output_tokens, request_id, spec)
 
     def kv_reserve(
@@ -360,8 +358,6 @@ class LLMTA(TrustedApplication):
         its attempt builds (or resumes) its paged cache.  With sharing
         and a :class:`PromptSpec`, only the predicted non-shared block
         count is held."""
-        if self.batch_engine is None:
-            return
         blocks = self.batch_engine.reserve(prompt_tokens, output_tokens, request_id, spec)
         if blocks:
             self._kv_reservations[request_id] = blocks
@@ -370,7 +366,7 @@ class LLMTA(TrustedApplication):
         """Drop every cached-but-unreferenced KV block (generator):
         flush the prefix tree, then shrink the data region if the TA is
         now fully drained.  Returns the number of residencies dropped."""
-        if self.batch_engine is None or self.batch_engine.tree is None:
+        if self.batch_engine.tree is None:
             return 0
         dropped = self.batch_engine.tree.flush()
         yield from self.batch_engine.maybe_release_region()
@@ -389,9 +385,26 @@ class LLMTA(TrustedApplication):
     ):
         """Serve one inference request (generator; returns the record).
 
+        Without sharing, prefill serializes through the TA's prefill lock
+        (one §4.1 restoration pipeline at a time); decode joins the TA's
+        :class:`~repro.core.batch.DecodeBatchEngine` and co-executes with
+        every other in-flight sequence (none at the default batch size
+        of one).  With ``prefix_sharing`` and a :class:`PromptSpec`, the
+        prompt's blocks are taken through the prefix tree — whole-block
+        hits by reference, divergent tails copy-on-write — and only the
+        miss suffix computes: on a fully-cached TA it runs as bounded
+        chunks *inside* the decode batch (no prefill lock at all), and
+        on a cold TA the restoration pipeline prices just the chunked
+        miss-suffix graph.  Block release is guaranteed exactly once by
+        the try/finally — unless the sequence parked, in which case the
+        checkpoint owns the blocks until resume.
+
         ``preempt`` — an optional :class:`PreemptionGate`; when requested
-        mid-decode, the request stops at the next token boundary, marks
-        its record ``preempted``, and releases transient memory normally.
+        mid-decode, the request stops at the next token boundary and
+        marks its record ``preempted``.  At batch size one it releases
+        transient memory normally; a batching TA parks the KV block list
+        keyed by the gateway request id, and the resumed attempt skips
+        init and prefill and continues the parked stream.
 
         ``ctx`` — an optional :class:`~repro.obs.TraceContext`: the
         request's identity from the serving gateway, threaded into the
@@ -399,9 +412,7 @@ class LLMTA(TrustedApplication):
         the TEE-lane spans that served it.
 
         ``prompt`` — an optional :class:`PromptSpec` describing the
-        prompt's shareable structure.  Only the batched engine with
-        ``prefix_sharing`` uses it: matching whole blocks are taken from
-        the prefix tree by reference and only the miss suffix prefills.
+        prompt's shareable structure, used by ``prefix_sharing`` TAs.
         """
         request_id = None if ctx is None else ctx.request_id
         try:
@@ -422,6 +433,9 @@ class LLMTA(TrustedApplication):
                 self.batch_engine.pool.cancel_reservation(blocks, owner="r%s" % request_id)
             raise
         sim = self.sim
+        engine = self.batch_engine
+        switch0 = self.stack.tee_npu.world_switch_time
+        smc0 = self.stack.board.monitor.smc_count
         record = InferenceRecord(
             prompt_tokens=prompt_tokens,
             output_tokens=output_tokens,
@@ -430,122 +444,6 @@ class LLMTA(TrustedApplication):
             cached_bytes=self.params_region.protected,
             request_id=request_id,
         )
-        if self.batch_engine is not None:
-            record = yield from self._infer_batched(
-                prompt_tokens, output_tokens, preempt, ctx, record, prompt
-            )
-            return record
-        switch_t0 = self.stack.tee_npu.world_switch_time
-        smc0 = self.stack.board.monitor.smc_count
-
-        # --- framework init -------------------------------------------------
-        t0 = sim.now
-        yield from self._init_framework()
-        record.init_time = sim.now - t0
-
-        # --- KV cache + activations (second TZASC region, §4.2) -------------
-        # The region starts sized for the prompt's KV plus the fixed
-        # buffers; it *grows during decoding* as tokens are generated and
-        # is fully released afterwards (the Fig. 7b data-region pattern).
-        t0 = sim.now
-        granule = self.data_region.granule
-        fixed_bytes = self.model.activation_bytes(max(prompt_tokens, 1)) + 4096
-        data_bytes = fixed_bytes + self.model.kv_bytes(prompt_tokens)
-        data_bytes = -(-data_bytes // granule) * granule
-        yield from self.data_region.extend_allocated(data_bytes, threads=4)
-        yield from self.data_region.extend_protected(data_bytes)
-        yield sim.timeout(self.platform.timing.kv_activation_alloc)
-        record.data_setup_time = sim.now - t0
-        act_bytes = self.model.activation_bytes(max(prompt_tokens, 1))
-        job_ctx = AddrRange(self.data_region.base_addr + act_bytes, 4096)
-        self._npu_backend = TEECoDriverNPUBackend(
-            self.stack.tee_npu,
-            job_ctx,
-            duration_quantum=self.npu_duration_quantum,
-            job_timeout=self.recovery.npu_job_timeout,
-            max_reissues=self.recovery.npu_max_reissues,
-        )
-
-        def grow_kv(tokens):
-            """Extend the data region as the KV cache outgrows it."""
-            needed = fixed_bytes + self.model.kv_bytes(tokens + 1)
-            if needed > self.data_region.allocated:
-                delta = -(-(needed - self.data_region.allocated) // granule) * granule
-                yield from self.data_region.extend_allocated(delta, threads=1)
-                yield from self.data_region.extend_protected(delta)
-                record.kv_growth_extends += 1
-
-        # --- pipelined prefill ----------------------------------------------
-        graph = build_prefill_graph(
-            self.model,
-            self.container.tensors,
-            prompt_tokens,
-            use_npu=self.use_npu,
-            platform=self.platform,
-        )
-        try:
-            yield from self._prefill(graph, self._npu_backend, record, ctx)
-            record.ttft = sim.now - record.started_at
-            record.first_token_at = sim.now
-
-            # --- decode -------------------------------------------------------
-            if output_tokens > 0:
-                executor = GraphExecutor(sim, self.platform, self.cpu, self._npu_backend)
-                hook = grow_kv
-                if self.decode_param_residency < 1.0:
-                    hook = yield from self._enter_streaming_decode(record, grow_kv)
-                record.decode = yield from decode_tokens(
-                    executor,
-                    self.model,
-                    self.container.tensors,
-                    prompt_tokens,
-                    output_tokens,
-                    use_npu=self.decode_use_npu,
-                    grow_hook=hook,
-                    stop_hook=preempt,
-                )
-                record.preempted = record.decode.stopped_early
-        except Exception:
-            # Failed restoration (I/O error, Iago detection): release
-            # all transient memory so the TA stays serviceable, then
-            # surface the error to the CA.
-            yield from self._recover()
-            raise
-
-        # --- release ----------------------------------------------------------
-        t0 = sim.now
-        yield from self.data_region.shrink_all()
-        yield from self.revoke_cache(self.cache_policy.bytes_to_keep(self))
-        record.release_time = sim.now - t0
-
-        record.world_switch_time = self.stack.tee_npu.world_switch_time - switch_t0
-        record.smc_count = self.stack.board.monitor.smc_count - smc0
-        return self._finish(record)
-
-    def _infer_batched(self, prompt_tokens, output_tokens, preempt, ctx, record, prompt=None):
-        """The continuous-batching request path (generator).
-
-        Without sharing, prefill serializes through the TA's prefill
-        lock (one §4.1 restoration pipeline at a time); decode joins the
-        shared :class:`~repro.core.batch.DecodeBatchEngine` and
-        co-executes with every other in-flight sequence.  With
-        ``prefix_sharing`` and a :class:`PromptSpec`, the prompt's
-        blocks are taken through the prefix tree first — whole-block
-        hits by reference, divergent tails copy-on-write — and only the
-        miss suffix computes: on a fully-cached TA it runs as bounded
-        chunks *inside* the decode batch (no prefill lock at all), and
-        on a cold TA the restoration pipeline prices just the chunked
-        miss-suffix graph.  Preemption evicts from the batch and *parks*
-        the KV block list keyed by the gateway request id; the resumed
-        attempt skips init and any completed prefill and continues the
-        parked stream.  Block release is guaranteed exactly once by the
-        try/finally — unless the sequence parked, in which case the
-        checkpoint owns the blocks until resume.
-        """
-        sim = self.sim
-        engine = self.batch_engine
-        record.batched = True
-        request_id = record.request_id
         parked = None
         if request_id is not None:
             # Look up only: rejoin() owns the exactly-once removal from
@@ -585,11 +483,11 @@ class LLMTA(TrustedApplication):
             return share
 
         def set_up_data():
-            """Back the job context and scratch, pay the KV/activation
-            set-up, then re-snapshot the cache state (generator): a
-            concurrent request's pipeline may have loaded (and protected)
-            groups since this record was created, and re-loading a
-            protected group would trap."""
+            """Back the job context, scratch and the prompt's blocks, pay
+            the KV/activation set-up, then re-snapshot the cache state
+            (generator): a concurrent request's pipeline may have loaded
+            (and protected) groups since this record was created, and
+            re-loading a protected group would trap."""
             t0 = sim.now
             yield from engine.ensure_backing()
             yield sim.timeout(self.platform.timing.kv_activation_alloc)
@@ -629,6 +527,7 @@ class LLMTA(TrustedApplication):
                     record.ttft = sim.now - record.started_at
                     record.first_token_at = sim.now
             else:
+                stream = None
                 lock_request = self._prefill_lock.request()
                 yield lock_request
                 try:
@@ -637,14 +536,17 @@ class LLMTA(TrustedApplication):
                         yield from self._init_framework()
                         self._framework_resident = True
                     record.init_time = sim.now - t0
+                    # The prompt's blocks first, then the region that
+                    # backs them, so prefill writes KV only into
+                    # protected memory (§4.2: set-up grows with the
+                    # prompt).  Shared blocks are taken by reference, so
+                    # the pipeline only prices the miss suffix
+                    # (restoration still overlaps what compute remains).
+                    share = take_prompt(prompt if sharing else None)
                     # Under the lock, so the re-snapshot sees every group
                     # a concurrent pipeline protected.
                     yield from set_up_data()
-                    if sharing:
-                        # Take the shared blocks first so the pipeline
-                        # only prices the miss suffix (restoration still
-                        # overlaps what compute remains).
-                        share = take_prompt(prompt)
+                    if share is not None:
                         graph = build_chunked_prefill_graph(
                             self.model,
                             self.container.tensors,
@@ -668,15 +570,17 @@ class LLMTA(TrustedApplication):
                     try:
                         yield from self._prefill(graph, engine._backend(), record, ctx)
                     except Exception:
-                        yield from self._recover_batched()
+                        # Under the lock, the ballooned tail the TZASC
+                        # never covered can only be this pipeline's.
+                        yield from self.params_region.release_unprotected_tail()
+                        yield from self._recover()
                         raise
+                    record.ttft = sim.now - record.started_at
+                    record.first_token_at = sim.now
+                    if output_tokens > 0 and self.decode_param_residency < 1.0:
+                        stream = yield from self._enter_streaming_decode(record)
                 finally:
                     self._prefill_lock.release(lock_request)
-                record.ttft = sim.now - record.started_at
-                record.first_token_at = sim.now
-                if kv is None:
-                    take_prompt(None)
-                yield from engine.ensure_backing()
                 if output_tokens > 0:
                     seq = engine.join(
                         kv,
@@ -684,10 +588,12 @@ class LLMTA(TrustedApplication):
                         output_tokens,
                         gate=preempt,
                         request_id=request_id,
+                        stream=stream,
                     )
                     yield seq.done
             if seq is not None:
                 if seq.state == "failed":
+                    yield from self._recover()
                     raise seq.error
                 if record.first_token_at is None and seq.prefill_done_at is not None:
                     # Chunked in-batch prefill: TTFT anchors on the
@@ -723,20 +629,17 @@ class LLMTA(TrustedApplication):
                 )
             if kv is not None and not parked_out:
                 kv.release()
+            release_t0 = sim.now
             yield from engine.maybe_release_region()
 
         # --- drain-time release (params stay resident while any other
         # sequence — active, waiting, or parked — still needs them) -----
-        t0 = sim.now
-        if (
-            engine.inflight == 0
-            and not engine.active
-            and not engine.waiting
-            and not engine.parked
-        ):
+        if not (engine.inflight or engine.active or engine.waiting or engine.parked):
             self._framework_resident = False
             yield from self.revoke_cache(self.cache_policy.bytes_to_keep(self))
-        record.release_time = sim.now - t0
+        record.release_time += sim.now - release_t0
+        record.world_switch_time = self.stack.tee_npu.world_switch_time - switch0
+        record.smc_count = self.stack.board.monitor.smc_count - smc0
         return self._finish(record)
 
     def _prefill(self, graph, npu_backend: NPUBackend, record: InferenceRecord, ctx):
@@ -772,17 +675,21 @@ class LLMTA(TrustedApplication):
                 counter.inc(value, component=component)
         return record
 
-    def _recover_batched(self):
-        """Error-path cleanup for the batched TA (generator): a failed
-        restoration releases its own transient state, but parameters
-        other in-flight sequences are decoding against must survive —
-        only a fully idle TA can be swept clean."""
-        yield from self.params_region.release_unprotected_tail()
-        if self.batch_engine.inflight == 1 and self.batch_engine.pool.used_blocks == 0:
+    def _recover(self):
+        """Error-path cleanup for a failed attempt (generator).
+
+        A failed restoration may have protected a group whose decryption
+        never ran, so no cached prefix can be trusted as plaintext: once
+        nothing else can need the parameters — this is the TA's only
+        attempt and no sequence is active, waiting or parked — release
+        them all and start clean.  KV blocks the pool or the prefix tree
+        hold do not count: they need no parameters."""
+        engine = self.batch_engine
+        if engine.inflight == 1 and not (engine.active or engine.waiting or engine.parked):
             self._framework_resident = False
             yield from self.backend.release_to(0)
 
-    def _enter_streaming_decode(self, record: "InferenceRecord", grow_kv):
+    def _enter_streaming_decode(self, record: "InferenceRecord"):
         """Shrink parameter memory to the residency target and return a
         per-token hook that streams + decrypts the evicted suffix,
         double-buffered against the current token's computation
@@ -799,6 +706,8 @@ class LLMTA(TrustedApplication):
         yield from self.backend.release_to(keep_bytes)
         record.release_time += sim.now - t0
         record.streamed_bytes_per_token = streamed_nominal
+        if streamed_nominal == 0:
+            return None
         fs = self.stack.kernel.fs
         decrypt_seconds = self.backend.decrypt_duration(streamed_nominal, 4)
 
@@ -814,10 +723,7 @@ class LLMTA(TrustedApplication):
 
         state = {"pending": None}
 
-        def streaming_hook(tokens):
-            yield from grow_kv(tokens)
-            if streamed_nominal == 0:
-                return
+        def streaming_hook():
             # This token needs its sweep complete before computing: the
             # first token fetches synchronously; later tokens wait on the
             # prefetch issued during the previous token.
@@ -830,15 +736,6 @@ class LLMTA(TrustedApplication):
             record.stream_sweeps += 1
 
         return streaming_hook
-
-    def _recover(self):
-        """Error-path cleanup (generator): drop the data region and all
-        parameter memory.  A failed restoration may have protected a
-        group whose decryption never ran, so no prefix can be trusted as
-        plaintext cache — release everything and start clean."""
-        yield from self.data_region.shrink_all()
-        yield from self.params_region.release_unprotected_tail()
-        yield from self.backend.release_to(0)
 
     def _init_framework(self):
         timing = self.platform.timing

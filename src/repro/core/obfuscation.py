@@ -10,8 +10,9 @@ and dummy computation".  This module implements those techniques:
   common quantum (or to the largest group, for full uniformity): the REE
   then observes identical allocation extensions and identical load
   request sizes, at a memory/I/O cost the ablation bench quantifies.
-* :func:`quantize_duration` rounds secure NPU job durations up to a
-  quantum (dummy computation), hiding per-matmul timing structure.
+* :func:`~repro.llm.runtime.quantize_duration` rounds secure NPU job
+  durations up to a quantum (dummy computation), hiding per-matmul
+  timing structure; the TEE co-driver backend applies it to every job.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 from ..errors import ConfigurationError
 from .restore_graph import RestorationPlan
 
-__all__ = ["apply_size_obfuscation", "quantize_duration"]
+__all__ = ["apply_size_obfuscation"]
 
 
 def _round_up(value: int, quantum: int) -> int:
@@ -52,13 +53,3 @@ def apply_size_obfuscation(plan: RestorationPlan, quantum: Optional[int] = None)
         group.uniform_load = True  # type: ignore[attr-defined]
         offset += group.alloc_bytes
     return plan
-
-
-def quantize_duration(duration: float, quantum: float) -> float:
-    """Round a secure-job duration up to the timing quantum (dummy
-    computation keeps the NPU busy until the boundary)."""
-    if quantum <= 0:
-        return duration
-    import math
-
-    return math.ceil(duration / quantum - 1e-12) * quantum

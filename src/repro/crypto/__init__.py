@@ -4,7 +4,7 @@ Real byte transformations (stream cipher, key wrapping, checksums) with
 separate calibrated timing helpers — see module docstrings.
 """
 
-from .checksum import CHECKSUM_SIZE, checksum, checksum_duration, verify
+from .checksum import CHECKSUM_SIZE, checksum, verify
 from .cipher import (
     KEY_SIZE,
     NONCE_SIZE,
@@ -21,7 +21,6 @@ __all__ = [
     "NONCE_SIZE",
     "HardwareKeyStore",
     "checksum",
-    "checksum_duration",
     "decrypt",
     "decrypt_duration",
     "derive_key",

@@ -12,9 +12,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 
-from ..config import CryptoSpec
-
-__all__ = ["CHECKSUM_SIZE", "checksum", "verify", "checksum_duration"]
+__all__ = ["CHECKSUM_SIZE", "checksum", "verify"]
 
 CHECKSUM_SIZE = 16
 
@@ -27,8 +25,3 @@ def checksum(data: bytes) -> bytes:
 def verify(data: bytes, expected: bytes) -> bool:
     """Constant-time check of ``data`` against an ``expected`` checksum."""
     return hmac.compare_digest(checksum(data), expected)
-
-
-def checksum_duration(nominal_bytes: float, threads: int, spec: CryptoSpec) -> float:
-    """Simulated seconds to checksum ``nominal_bytes`` on ``threads`` cores."""
-    return nominal_bytes / (spec.checksum_bw_per_core * max(1, threads))

@@ -2,16 +2,13 @@
 
 The paper's deployed layout holds one request's KV: it is sized for the
 prompt at prefill, grows by one token per decode step, and is fully
-released after the inference.  On the single-stream path that footprint
-is a function of the decode loop's own token count
-(:func:`repro.llm.runtime.decode_tokens`), so no object tracks it.  Two
-layouts share this module:
+released after the inference.  Every TA keeps it in blocks, through a
+batch engine of size one by default.  Two structures share this module:
 
-* :class:`KVBlockPool` + :class:`PagedKVCache` — the continuous-batching
-  extension (vLLM/Orca-style): the data region carved into
-  fixed-size *token blocks*; each in-flight sequence holds a list of
-  block ids instead of a contiguous range, and a free list recycles
-  blocks between sequences.  The TZASC range itself stays a single
+* :class:`KVBlockPool` + :class:`PagedKVCache` — the data region carved
+  into fixed-size *token blocks* (vLLM/Orca-style); each in-flight
+  sequence holds a list of block ids instead of a contiguous range, and
+  a free list recycles blocks between sequences.  The TZASC range itself stays a single
   contiguous, end-grown span (``docs/batching.md`` explains why this
   preserves the §4.2 no-fragmentation claim).
 * :class:`PrefixTree` over the same pool — shared-prefix KV reuse with

@@ -13,16 +13,17 @@ operators are dispatched through a pluggable backend:
 * :class:`TEECoDriverNPUBackend` — secure jobs through the co-driver
   (shadow scheduling, world switches, sequence checks; §4.3).
 
-The decode loop generates tokens one at a time, resizing the attention
-operators as the KV cache grows, and samples a deterministic next token
-so end-to-end output text is reproducible.
+The REE baselines' decode loop generates tokens one at a time, resizing
+the attention operators as the KV cache grows, and samples a
+deterministic next token so end-to-end output text is reproducible (the
+TA decodes through :mod:`repro.core.batch`, with the same sampling).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from typing import List, Optional, Union
@@ -51,6 +52,7 @@ __all__ = [
     "GraphExecutor",
     "DecodeResult",
     "decode_tokens",
+    "quantize_duration",
     "sample_token",
 ]
 
@@ -85,6 +87,14 @@ class DirectNPUBackend(NPUBackend):
         yield self.sim.timeout(self.platform.npu.job_launch_latency + duration)
         self.busy_time += duration
         self.overhead_time += self.platform.npu.job_launch_latency
+
+
+def quantize_duration(duration: float, quantum: float) -> float:
+    """Round a secure-job duration up to the timing quantum (dummy
+    computation keeps the NPU busy until the boundary; §6)."""
+    if quantum <= 0:
+        return duration
+    return math.ceil(duration / quantum - 1e-12) * quantum
 
 
 def _job_for(op: ComputeOp, duration: float, ctx: AddrRange, tag: str) -> NPUJob:
@@ -143,10 +153,7 @@ class TEECoDriverNPUBackend(NPUBackend):
         self.overhead_time = 0.0
 
     def run(self, op: ComputeOp, duration: float):
-        if self.duration_quantum > 0:
-            import math
-
-            duration = math.ceil(duration / self.duration_quantum - 1e-12) * self.duration_quantum
+        duration = quantize_duration(duration, self.duration_quantum)
         job = _job_for(op, duration, self.ctx, "tee")
         switch0 = self.driver.world_switch_time
         yield from self.driver.submit_secure_job(
@@ -180,11 +187,11 @@ class GraphExecutor:
     def op_time(self, op: ComputeOp) -> float:
         return op_duration(op.flops, op.bytes_touched, self.platform, op.engine)
 
-    def run_op(self, op: ComputeOp, cpu_priority: float = 0.0):
+    def run_op(self, op: ComputeOp):
         """Execute a single operator (generator)."""
         duration = self.op_time(op)
         if op.engine == Engine.CPU:
-            yield from self._run_cpu([duration], cpu_priority)
+            yield from self._run_cpu([duration])
         else:
             if self.npu_backend is None:
                 raise ConfigurationError("graph has NPU ops but no NPU backend")
@@ -196,7 +203,7 @@ class GraphExecutor:
             self.npu_busy_time += self.npu_backend.busy_time - busy0
             self.npu_overhead_time += self.npu_backend.overhead_time - overhead0
 
-    def execute(self, graph: ComputationGraph, cpu_priority: float = 0.0):
+    def execute(self, graph: ComputationGraph):
         """Run the whole chain (generator).
 
         Each maximal run of consecutive CPU operators executes under one
@@ -205,10 +212,10 @@ class GraphExecutor:
         """
         for engine, ops in groupby(graph.ops, key=attrgetter("engine")):
             if engine == Engine.CPU:
-                yield from self._run_cpu([self.op_time(op) for op in ops], cpu_priority)
+                yield from self._run_cpu([self.op_time(op) for op in ops])
             else:
                 for op in ops:
-                    yield from self.run_op(op, cpu_priority=cpu_priority)
+                    yield from self.run_op(op)
 
     def step(self, graph: ComputationGraph, before=None):
         """One decode step: run ``before()`` then ``graph`` (generator).
@@ -238,24 +245,25 @@ class GraphExecutor:
             "sched_wait": max(0.0, step_time - cpu_d - npu_d - smc_d),
         }
 
-    def _run_cpu(self, durations: List[float], cpu_priority: float):
+    def _run_cpu(self, durations: List[float]):
         """Run consecutive CPU operators of the given durations (generator).
 
-        The operators run under one CPU grant.  Each takes its duration
-        in place (:meth:`Simulator.advance`) when nothing is queued up
-        to its end, else as a timeout of its own; either way it ends at
-        the previous boundary plus its duration.  At a boundary where
-        another request is queued the executor releases the CPU and
-        re-requests it, as per-operator stepping does, so the CPU is
-        handed over at the same boundaries; where none is, whatever
-        else is due at the boundary runs before the next operator
-        starts, as it runs before per-operator stepping's re-grant.
+        The operators run under one CPU grant, requested at priority 0.
+        Each takes its duration in place (:meth:`Simulator.advance`)
+        when nothing is queued up to its end, else as a timeout of its
+        own; either way it ends at the previous boundary plus its
+        duration.  At a boundary where another request is queued the
+        executor releases the CPU and re-requests it, as per-operator
+        stepping does, so the CPU is handed over at the same boundaries;
+        where none is, whatever else is due at the boundary runs before
+        the next operator starts, as it runs before per-operator
+        stepping's re-grant.
         """
         sim = self.sim
         cpu = self.cpu
         done = 0
         while done < len(durations):
-            request = cpu.request(priority=cpu_priority)
+            request = cpu.request()
             yield request
             try:
                 waited = False
@@ -291,8 +299,8 @@ class DecodeResult:
     #: ``smc`` (cross-world overhead: traps + secure-mode switches), and
     #: ``sched_wait`` (the rest: REE queueing, power-up, stalls, hooks).
     attribution: List[dict] = field(default_factory=list)
-    #: the loop was stopped by ``stop_hook`` before generating every token
-    #: (serving-level preemption; see :mod:`repro.serve`).
+    #: the sequence was evicted at a token boundary before generating
+    #: every token (serving-level preemption; see :mod:`repro.serve`).
     stopped_early: bool = False
 
     @property
@@ -316,23 +324,15 @@ def decode_tokens(
     context_tokens: int,
     n_tokens: int,
     use_npu: Union[bool, str] = "auto",
-    grow_hook=None,
-    stop_hook=None,
 ):
-    """The decode loop (generator; returns a :class:`DecodeResult`).
+    """The REE baselines' decode loop (generator; returns a
+    :class:`DecodeResult`).
 
     ``context_tokens`` — the prompt's KV length; the loop counts the
     tokens it generates on top.  Engine choice is made once (it depends
     on weight sizes, not KV size); the attention operators are resized
-    each step as the cache grows.  ``grow_hook(tokens)`` — a
-    generator-producing callable given the KV length before the step —
-    runs inside each step so the caller can extend KV-cache backing
-    memory as it grows (the §4.2 behaviour: the KV region scales during
-    decoding).  ``stop_hook()`` — a plain callable — is checked at every
-    token boundary; when it returns true the loop stops early with
-    ``stopped_early`` set, the preemption point the serving gateway uses
-    to yield the TA to a higher-priority request (same micro-granularity
-    idea as the §4.1 pipeline preemption, at token scale).
+    each step as the cache grows.  The TA decodes through its batch
+    engine instead (:mod:`repro.core.batch`).
     """
     result = DecodeResult()
     tokens = context_tokens
@@ -341,12 +341,8 @@ def decode_tokens(
     )
     attention = attention_ops(graph)
     for step in range(n_tokens):
-        if stop_hook is not None and stop_hook():
-            result.stopped_early = True
-            break
         size_decode_attention(model, attention, [tokens])
-        before = None if grow_hook is None else partial(grow_hook, tokens)
-        step_time, attribution = yield from executor.step(graph, before)
+        step_time, attribution = yield from executor.step(graph)
         result.step_times.append(step_time)
         result.attribution.append(attribution)
         result.token_ids.append(sample_token(model.model_id, step, model.vocab))

@@ -103,9 +103,6 @@ class FrameDB:
         alloc_id = self._owner[frame]
         return self._allocations.get(alloc_id) if alloc_id is not None else None
 
-    def allocation(self, alloc_id: int) -> Allocation:
-        return self._allocations[alloc_id]
-
     def occupied(self, start: int, stop: int) -> List[Tuple[int, Allocation]]:
         """The owned granules of ``[start, stop)``, ascending, each with
         its allocation."""

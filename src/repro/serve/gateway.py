@@ -16,10 +16,10 @@ that is:
   discarded and the request re-queued at the head of its class — its
   cached parameter prefix survives, so the retry skips restoration.
 
-With ``batching=True`` (requires TAs built with a
-:class:`~repro.core.batch.BatchConfig`) a lane seats up to the TA's
-batch size of concurrently decoding requests: dispatch fills the batch
-up to the KV-block budget before queueing, and preemption evicts a
+With ``batching=True`` a lane seats up to the TA's batch size (its
+:class:`~repro.core.batch.BatchConfig`) of concurrently decoding
+requests: dispatch fills the batch up to the KV-block budget before
+queueing, and on a TA whose batch size exceeds one, preemption evicts a
 victim from the batch with its blocks *parked* so the resume skips both
 prefill and the already-decoded tokens.
 
@@ -60,8 +60,8 @@ class GatewayConfig:
     #: continuous batching: lanes hold up to the TA's batch size of
     #: concurrently decoding requests, dispatch fills the batch up to the
     #: KV-block budget, and preemption evicts from the batch with the
-    #: victim's blocks *parked* for a prefill-free resume.  Requires the
-    #: system's TAs to be built with a ``BatchConfig``.
+    #: victim's blocks *parked* for a prefill-free resume (on TAs whose
+    #: ``BatchConfig.max_batch_size`` exceeds one).
     batching: bool = False
     policies: Dict[PriorityClass, ClassPolicy] = field(default_factory=default_policies)
     #: failure handling (repro.faults): how many times a request whose
@@ -121,10 +121,6 @@ class _Lane:
     def busy(self) -> bool:
         return len(self.running) >= self.capacity
 
-    @property
-    def current(self) -> Optional[ServeRequest]:
-        return self.running[0] if self.running else None
-
     def add(self, request: ServeRequest, gate: PreemptionGate) -> None:
         self.running.append(request)
         self.gates[request.request_id] = gate
@@ -182,13 +178,7 @@ class ServeGateway:
         #: TA's batch size; dispatch consults its KV-block budget).
         self._tas: Dict[str, object] = {}
         if self.config.batching:
-            for m, ta in system.tas.items():
-                if ta.batch_engine is None:
-                    raise ConfigurationError(
-                        "batching=True requires TAs built with a BatchConfig "
-                        "(model %r has no batch engine)" % m
-                    )
-                self._tas[m] = ta
+            self._tas.update(system.tas)
         self.lanes: Dict[str, _Lane] = {}
         for m in model_ids:
             breaker = CircuitBreaker(

@@ -103,7 +103,7 @@ def hook_sites(target) -> List[object]:
     ``.stack`` (``TZLLM``, ``REELLM``).  The sites are the stack's flash,
     TZASC, secure monitor, TZ driver, both NPU drivers and every CMA
     region, then each TA in ``target.tas`` with its params and data
-    secure regions and, when batched, its KV block pool.  Each site
+    secure regions and its KV block pool.  Each site
     declares the hooks it consults (``metrics``, ``recorder``,
     ``timeline``, ``fault_injector``, ``tracer``) as attributes that
     default to None (``NULL_TRACER`` for tracers).
@@ -119,9 +119,7 @@ def hook_sites(target) -> List[object]:
     ]
     sites.extend(stack.kernel.cma_regions.values())
     for ta in getattr(target, "tas", {}).values():
-        sites.extend((ta, ta.params_region, ta.data_region))
-        if ta.batch_engine is not None:
-            sites.append(ta.batch_engine.pool)
+        sites.extend((ta, ta.params_region, ta.data_region, ta.batch_engine.pool))
     return sites
 
 

@@ -5,7 +5,6 @@ from .fleet import (
     FleetTenantSpec,
     generate_fault_schedule,
     generate_fleet_trace,
-    offered_by_tenant,
 )
 from .geekbench import GEEKBENCH_SUITE, GeekbenchApp, migration_slowdown, run_suite
 from .nn_apps import MOBILENET_V1, NNAppRunner, NNAppSpec, YOLOV5S
@@ -45,6 +44,5 @@ __all__ = [
     "generate_prompts",
     "generate_trace",
     "migration_slowdown",
-    "offered_by_tenant",
     "run_suite",
 ]

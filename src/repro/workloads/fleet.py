@@ -29,7 +29,6 @@ __all__ = [
     "FleetRequest",
     "generate_fleet_trace",
     "generate_fault_schedule",
-    "offered_by_tenant",
 ]
 
 
@@ -184,23 +183,6 @@ def generate_fleet_trace(
                 at += rng.expovariate(1.0 / spec.mean_think_time)
     requests.sort(key=lambda r: (r.at, r.tenant, r.session_id, r.turn))
     return requests
-
-
-def offered_by_tenant(trace: Sequence[FleetRequest]) -> dict:
-    """Per-tenant offered load of a trace: request and token totals.
-
-    The ground truth the telemetry accountant's *served* meters are
-    compared against — served tokens can only be at or below offered.
-    """
-    out: dict = {}
-    for request in trace:
-        row = out.setdefault(
-            request.tenant, {"requests": 0, "prompt_tokens": 0, "output_tokens": 0}
-        )
-        row["requests"] += 1
-        row["prompt_tokens"] += request.prompt_tokens
-        row["output_tokens"] += request.output_tokens
-    return out
 
 
 def generate_fault_schedule(

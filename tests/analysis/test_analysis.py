@@ -11,9 +11,7 @@ from repro.analysis import (
     percent_change,
     percentile,
     reduction,
-    render_bars,
     render_table,
-    speedup,
 )
 from repro.errors import ConfigurationError
 
@@ -37,7 +35,6 @@ def test_percent_change_and_reduction():
     assert percent_change(110, 100) == pytest.approx(10.0)
     assert percent_change(90, 100) == pytest.approx(-10.0)
     assert reduction(100, 25) == pytest.approx(75.0)
-    assert speedup(10, 2) == pytest.approx(5.0)
     with pytest.raises(ConfigurationError):
         percent_change(1, 0)
 
@@ -50,19 +47,6 @@ def test_render_table_alignment():
     assert len(lines) == 5
     # Columns align.
     assert lines[3].index("|") == lines[4].index("|")
-
-
-def test_render_bars():
-    out = render_bars(["a", "b"], [1.0, 2.0], width=10, unit="s")
-    lines = out.splitlines()
-    assert len(lines) == 2
-    assert lines[1].count("#") == 10  # the max fills the width
-    assert lines[0].count("#") == 5
-
-
-def test_render_bars_handles_zero():
-    out = render_bars(["z"], [0.0])
-    assert "0" in out
 
 
 def test_loc_inventory_counts_this_package():

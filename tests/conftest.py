@@ -15,7 +15,7 @@ from repro.stack import build_stack
 from repro.workloads import MOBILENET_V1, NNAppRunner
 
 
-def per_op_execute(self, graph, cpu_priority=0.0):
+def per_op_execute(self, graph):
     """``GraphExecutor.execute`` as per-operator stepping (generator).
 
     Every CPU operator takes the CPU, waits one timeout of its own
@@ -27,7 +27,7 @@ def per_op_execute(self, graph, cpu_priority=0.0):
     for op in graph.ops:
         duration = self.op_time(op)
         if op.engine == Engine.CPU:
-            request = self.cpu.request(priority=cpu_priority)
+            request = self.cpu.request()
             yield request
             try:
                 yield self.sim.timeout(duration)

@@ -47,11 +47,10 @@ def test_budget_defaults_to_worst_case_batch():
 # ----------------------------------------------------------------------
 # single stream through the batched path
 # ----------------------------------------------------------------------
-def test_batched_single_stream_matches_legacy_tokens():
+def test_batched_single_stream_matches_one_request_ta_tokens():
     batched = make_batched().run_infer(32, 8)
-    legacy = TZLLM(TINYLLAMA).run_infer(32, 8)
-    assert batched.batched and not legacy.batched
-    assert batched.decode.token_ids == legacy.decode.token_ids
+    single = TZLLM(TINYLLAMA).run_infer(32, 8)
+    assert batched.decode.token_ids == single.decode.token_ids
 
 
 def test_batched_inference_drains_kv_and_region():
@@ -158,9 +157,9 @@ def test_cma_requirements_cover_batched_budget():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("batched", [False, True], ids=["legacy", "batched"])
 def test_faulted_inference_leaves_no_kv_bytes(batched):
-    """A TEE job hang mid-decode surfaces WatchdogTimeout; the KV cache
-    (legacy) or block pool (batched) must drain to zero and the TA must
-    stay serviceable."""
+    """A TEE job hang mid-decode surfaces WatchdogTimeout; the block pool
+    of the default one-request TA (``legacy``) or of a batching TA must
+    drain to zero and the TA must stay serviceable."""
     kwargs = {"batch_config": BatchConfig(max_batch_size=2)} if batched else {}
     system = TZLLM(
         TINYLLAMA,

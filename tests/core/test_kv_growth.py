@@ -14,19 +14,30 @@ def system():
     return system
 
 
+def extends(system, prompt, output):
+    """Run one request; return its record and the data-region extensions
+    it made (the set-up's first one included)."""
+    engine = system.ta.batch_engine
+    before = engine.kv_extends
+    record = system.run_infer(prompt, output)
+    return record, engine.kv_extends - before
+
+
 def test_kv_region_grows_during_long_decode(system):
     # TinyLlama KV is ~22.5 KB/token; with a 1 MiB granule the region
-    # must extend at least once while decoding 64 tokens.
-    record = system.run_infer(32, 64)
-    assert record.kv_growth_extends >= 1
+    # must extend at least once after set-up while decoding 64 tokens.
+    record, n = extends(system, 32, 64)
+    assert n >= 2
     assert len(record.decode.token_ids) == 64
     # The data region is fully released afterwards.
     assert system.ta.data_region.allocated == 0
 
 
 def test_short_decode_needs_no_growth(system):
-    record = system.run_infer(32, 2)
-    assert record.kv_growth_extends == 0
+    # 24 + 2 tokens fit the prompt's two 16-token blocks.  (A 32-token
+    # prompt fills both, so its first decoded token takes a third.)
+    _record, n = extends(system, 24, 2)
+    assert n == 1  # the set-up only
 
 
 def test_growth_visible_to_ree_as_cma_extensions(system):
@@ -36,12 +47,12 @@ def test_growth_visible_to_ree_as_cma_extensions(system):
         size for name, size in system.stack.tz_driver.alloc_observations
         if name == data_region
     ]
-    record = system.run_infer(32, 64)
+    _record, n = extends(system, 32, 64)
     after = [
         size for name, size in system.stack.tz_driver.alloc_observations
         if name == data_region
     ]
-    assert len(after) - len(before) == 1 + record.kv_growth_extends
+    assert len(after) - len(before) == n
 
 
 def test_initial_region_sized_for_prompt_not_output(system):

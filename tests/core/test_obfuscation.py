@@ -4,10 +4,11 @@ import pytest
 
 from repro.config import MiB
 from repro.core import TZLLM
-from repro.core.obfuscation import apply_size_obfuscation, quantize_duration
+from repro.core.obfuscation import apply_size_obfuscation
 from repro.core.restore_graph import build_restoration_plan
 from repro.errors import ConfigurationError
 from repro.llm import TINYLLAMA, build_prefill_graph, build_tensor_table, container_path
+from repro.llm.runtime import quantize_duration
 
 
 def make_plan():

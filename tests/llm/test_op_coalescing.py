@@ -72,9 +72,11 @@ def event_at(sim, when):
     return event
 
 
-def run_scenario(execute, ops, contenders, cpu_priority, start, interrupt_at):
+def run_scenario(execute, ops, contenders, start, interrupt_at):
     """Run one chain against ``contenders`` (arrival, priority, hold);
-    return everything the two executors must agree on."""
+    return everything the two executors must agree on.  The executor
+    requests the CPU at priority 0, so a contender's priority of -1, 0
+    or 1 makes it more urgent, tied or less urgent."""
     sim = Simulator()
     executor = new_executor(sim)
     graph = make_graph(ops)
@@ -107,7 +109,7 @@ def run_scenario(execute, ops, contenders, cpu_priority, start, interrupt_at):
     def run():
         yield sim.timeout(start)
         try:
-            yield from execute(executor, graph, cpu_priority=cpu_priority)
+            yield from execute(executor, graph)
         except Interrupt:
             pass
         marks["end"] = sim.now
@@ -133,8 +135,8 @@ def run_scenario(execute, ops, contenders, cpu_priority, start, interrupt_at):
     }
 
 
-def coalesced(executor, graph, cpu_priority=0.0):
-    return executor.execute(graph, cpu_priority=cpu_priority)
+def coalesced(executor, graph):
+    return executor.execute(graph)
 
 
 _OPS = st.lists(
@@ -165,14 +167,11 @@ _CONTENDERS = st.lists(
 @given(
     ops=_OPS,
     contenders=_CONTENDERS,
-    cpu_priority=st.sampled_from((-1, 0, 1)),
     start=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.02)),
     interrupt_at=st.one_of(st.none(), st.floats(min_value=1e-7, max_value=0.08)),
 )
-def test_cpu_runs_match_per_op_stepping(
-    per_op_reference, ops, contenders, cpu_priority, start, interrupt_at
-):
-    args = (ops, contenders, cpu_priority, start, interrupt_at)
+def test_cpu_runs_match_per_op_stepping(per_op_reference, ops, contenders, start, interrupt_at):
+    args = (ops, contenders, start, interrupt_at)
     assert run_scenario(coalesced, *args) == run_scenario(per_op_reference, *args)
 
 
@@ -202,7 +201,7 @@ def test_run_ends_on_the_left_to_right_sum_of_op_times(per_op_reference):
     # From t=0.1, twelve of these operators end where a relative timeout
     # of (end - now) would land one ulp early.
     ops = CPU_OPS * 3
-    args = (ops, [], 0, 0.1, None)
+    args = (ops, [], 0.1, None)
     run = run_scenario(coalesced, *args)
     assert run == run_scenario(per_op_reference, *args)
     end = uncontended_boundaries(new_executor(Simulator()), make_graph(ops), 0.1)[-1]
@@ -214,8 +213,8 @@ def test_request_queued_mid_run_cuts_at_next_boundary(per_op_reference):
     boundaries = list(accumulate([OP_TIME] * 4))
     arrival = (boundaries[0] + boundaries[1]) / 2
     contenders = [(("at", arrival), 1, 1e-3)]
-    run = run_scenario(coalesced, CPU_OPS, contenders, 0, 0.0, None)
-    assert run == run_scenario(per_op_reference, CPU_OPS, contenders, 0, 0.0, None)
+    run = run_scenario(coalesced, CPU_OPS, contenders, 0.0, None)
+    assert run == run_scenario(per_op_reference, CPU_OPS, contenders, 0.0, None)
     # Granted at the boundary that ends the operator in flight, even
     # though the executor has the better priority.
     assert run["grants"] == [boundaries[1]]
@@ -225,8 +224,8 @@ def test_request_queued_at_grant_gets_cpu_after_one_op(per_op_reference):
     # A holds the CPU from t=0; the executor and then B queue behind it.
     # When A releases the executor is first in line and is granted with
     # B already queued: B must get the CPU after one operator.
-    contenders = [(("at", 0.0), 0, 5e-3), (("at", 1e-3), 0, 1e-3)]
-    args = (CPU_OPS, contenders, -1, 1e-4, None)
+    contenders = [(("at", 0.0), 1, 5e-3), (("at", 1e-3), 1, 1e-3)]
+    args = (CPU_OPS, contenders, 1e-4, None)
     run = run_scenario(coalesced, *args)
     assert run == run_scenario(per_op_reference, *args)
     assert run["grants"] == [0.0, 5e-3 + OP_TIME]
@@ -235,12 +234,12 @@ def test_request_queued_at_grant_gets_cpu_after_one_op(per_op_reference):
 def test_timer_set_before_the_run_on_a_boundary_matches(per_op_reference):
     for k in range(len(CPU_OPS)):
         contenders = [(("boundary", k), 1, 1e-3)]
-        args = (CPU_OPS, contenders, 0, 0.0, None)
+        args = (CPU_OPS, contenders, 0.0, None)
         assert run_scenario(coalesced, *args) == run_scenario(per_op_reference, *args)
 
 
 def test_interrupt_mid_run_counts_only_finished_ops(per_op_reference):
-    args = (CPU_OPS, [(("at", 0.0), 0, 1e-4)], 0, 0.0, 1e-4 + 2.5 * OP_TIME)
+    args = (CPU_OPS, [(("at", 0.0), 0, 1e-4)], 0.0, 1e-4 + 2.5 * OP_TIME)
     run = run_scenario(coalesced, *args)
     assert run == run_scenario(per_op_reference, *args)
     assert run["cpu_busy_time"] == OP_TIME + OP_TIME
@@ -250,7 +249,7 @@ def test_interrupt_mid_run_counts_only_finished_ops(per_op_reference):
 def test_interrupt_while_queued_for_the_cpu_matches(per_op_reference):
     # A holds the CPU from t=0; the executor queues behind it and is
     # interrupted before it is granted.
-    args = (CPU_OPS, [(("at", 0.0), 0, 5e-3)], 0, 1e-4, 1e-3)
+    args = (CPU_OPS, [(("at", 0.0), 0, 5e-3)], 1e-4, 1e-3)
     run = run_scenario(coalesced, *args)
     assert run == run_scenario(per_op_reference, *args)
     assert run["cpu_busy_time"] == 0.0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import BatchConfig, TZLLM
-from repro.errors import ConfigurationError
 from repro.llm import TINYLLAMA, PromptSpec
 from repro.serve import ContextTooLong, GatewayConfig, ServeGateway
 
@@ -34,12 +33,6 @@ def completed(gateway):
 # ----------------------------------------------------------------------
 # wiring
 # ----------------------------------------------------------------------
-def test_batching_requires_batch_engine():
-    system = TZLLM(TINYLLAMA)  # no batch_config
-    with pytest.raises(ConfigurationError):
-        ServeGateway(system, GatewayConfig(batching=True))
-
-
 def test_lane_capacity_is_the_batch_size():
     system = make_system(max_batch_size=3)
     gateway = make_gateway(system)

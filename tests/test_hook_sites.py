@@ -66,7 +66,9 @@ EXPECTED = {
     ]),
     ("ree", "instrument"): pairs_for([(STACK_OBSERVED, METRICS, 1)]),
     ("one", "timeline"): pairs_for([
-        (("TZASC",), ("timeline",), 1), (("SecureRegion",), ("timeline",), 2),
+        (("TZASC",), ("timeline",), 1),
+        (("SecureRegion",), ("timeline",), 2),
+        (("KVBlockPool",), ("timeline",), 1),
     ]),
     ("two", "timeline"): pairs_for([
         (("TZASC",), ("timeline",), 1),
