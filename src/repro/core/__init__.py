@@ -9,7 +9,7 @@ the end-to-end evaluated systems (:mod:`repro.core.system`).
 """
 
 from .backends import REERestoreBackend, RestoreBackend, TEERestoreBackend
-from .batch import BatchConfig, BatchedSequence, DecodeBatchEngine, SharedNPUBackend
+from .batch import BatchConfig, BatchedSequence, DecodeBatchEngine
 from .caching import (
     CachePolicy,
     FractionCachePolicy,
@@ -41,7 +41,6 @@ __all__ = [
     "RestorationPlan",
     "RestoreBackend",
     "RestoreGroup",
-    "SharedNPUBackend",
     "TEERestoreBackend",
     "ThresholdProfiler",
     "TZLLM",

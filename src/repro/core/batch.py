@@ -20,9 +20,12 @@ protected span, so the §4.2 no-fragmentation property is preserved
 
 Prefill is not batched: requests serialize through the TA's prefill
 lock (one restoration pipeline at a time, exactly the paper's §4.1
-machinery), then join the decode batch.  The one physical NPU is shared
-between a running prefill and the decode stepper through
-:class:`SharedNPUBackend`.
+machinery), then join the decode batch.  The prefill pipelines and the
+decode stepper each submit NPU jobs from their own half of the data
+region's job-context area (:data:`JOB_CONTEXT_BYTES`), so each is its
+own sequence stream at the TEE co-driver and keeps at most one job in
+flight there; how the REE interleaves the two streams on the one NPU is
+its scheduling choice (§4.3).
 """
 
 from __future__ import annotations
@@ -47,15 +50,30 @@ from ..llm.kv_cache import (
     PrefixTree,
     PromptSpec,
 )
-from ..llm.runtime import DecodeResult, GraphExecutor, NPUBackend, sample_token
+from ..llm.models import ModelSpec
+from ..llm.runtime import DecodeResult, GraphExecutor, sample_token
 from ..sim import Resource
 
 __all__ = [
     "BatchConfig",
     "BatchedSequence",
     "DecodeBatchEngine",
-    "SharedNPUBackend",
 ]
+
+#: NPU job execution contexts at the start of every TA's data region: the
+#: first half for the TA's prefill pipelines, the second for its decode
+#: stepper (one co-driver sequence stream each).
+JOB_CONTEXT_BYTES = 4096
+
+
+def data_region_bytes(
+    model: ModelSpec, max_tokens: int, block_tokens: int, blocks: int
+) -> int:
+    """The data region's layout (§4.2) up to ``blocks`` KV blocks: the job
+    contexts, then activation scratch for ``max_tokens``, then the block
+    span."""
+    scratch = model.activation_bytes(max_tokens)
+    return JOB_CONTEXT_BYTES + scratch + blocks * model.kv_bytes(block_tokens)
 
 
 @dataclass
@@ -91,36 +109,6 @@ class BatchConfig:
             return self.budget_blocks
         per_seq = -(-max_tokens // self.block_tokens)
         return self.max_batch_size * per_seq
-
-
-class SharedNPUBackend(NPUBackend):
-    """Serialize one physical NPU between prefill and the decode stepper.
-
-    A restoration pipeline's secure jobs and the decode batch's
-    fused-step jobs would otherwise interleave inside the co-driver's
-    sequence-number protocol.  A capacity-1 resource keeps whole jobs
-    atomic (the device runs one job at a time anyway).
-    """
-
-    def __init__(self, inner: NPUBackend, lock: Resource):
-        self.inner = inner
-        self.lock = lock
-
-    @property
-    def busy_time(self):
-        return self.inner.busy_time
-
-    @property
-    def overhead_time(self):
-        return self.inner.overhead_time
-
-    def run(self, op, duration):
-        request = self.lock.request()
-        yield request
-        try:
-            yield from self.inner.run(op, duration)
-        finally:
-            self.lock.release(request)
 
 
 @dataclass
@@ -204,17 +192,14 @@ class DecodeBatchEngine:
         self.tree: Optional[PrefixTree] = (
             PrefixTree(self.pool) if config.prefix_sharing else None
         )
-        #: job execution context + worst-case activation scratch, laid
+        #: job execution contexts + worst-case activation scratch, laid
         #: out ahead of the block span in the data region.
-        self.fixed_bytes = 4096 + ta.model.activation_bytes(ta.max_tokens)
-        self.npu_lock = Resource(self.sim, capacity=1, name="npu-lock:" + ta.model.model_id)
+        self.fixed_bytes = data_region_bytes(ta.model, ta.max_tokens, config.block_tokens, 0)
         #: serializes data-region growth: two interleaved extensions
         #: would both observe the old end and balloon the same frames.
         self._backing_lock = Resource(
             self.sim, capacity=1, name="backing-lock:" + ta.model.model_id
         )
-        self._inner_npu: Optional[NPUBackend] = None
-        self.npu_backend: Optional[SharedNPUBackend] = None
         self.waiting: Deque[BatchedSequence] = deque()
         self.active: List[BatchedSequence] = []
         #: evicted sequences keyed by request id, awaiting :meth:`rejoin`.
@@ -361,8 +346,11 @@ class DecodeBatchEngine:
     # data-region backing (end-grown to the pool's high-water mark)
     # ------------------------------------------------------------------
     def backing_bytes_needed(self) -> int:
-        granule = self.ta.data_region.granule
-        needed = self.fixed_bytes + self.pool.backing_blocks * self.pool.block_bytes
+        ta = self.ta
+        granule = ta.data_region.granule
+        needed = data_region_bytes(
+            ta.model, ta.max_tokens, self.config.block_tokens, self.pool.backing_blocks
+        )
         return -(-needed // granule) * granule
 
     def ensure_backing(self):
@@ -401,23 +389,6 @@ class DecodeBatchEngine:
     # ------------------------------------------------------------------
     # the stepper
     # ------------------------------------------------------------------
-    def _backend(self) -> SharedNPUBackend:
-        if self.npu_backend is None:
-            from ..hw.common import AddrRange
-            from ..llm.runtime import TEECoDriverNPUBackend
-
-            ta = self.ta
-            job_ctx = AddrRange(ta.data_region.base_addr, 4096)
-            self._inner_npu = TEECoDriverNPUBackend(
-                ta.stack.tee_npu,
-                job_ctx,
-                duration_quantum=ta.npu_duration_quantum,
-                job_timeout=ta.recovery.npu_job_timeout,
-                max_reissues=ta.recovery.npu_max_reissues,
-            )
-            self.npu_backend = SharedNPUBackend(self._inner_npu, self.npu_lock)
-        return self.npu_backend
-
     def _retire(self, seq: BatchedSequence, state: str, error=None) -> None:
         seq.state = state
         seq.error = error
@@ -549,7 +520,7 @@ class DecodeBatchEngine:
         still-prefilling sequence, per iteration."""
         ta = self.ta
         if self._executor is None:
-            self._executor = GraphExecutor(self.sim, ta.platform, ta.cpu, self._backend())
+            self._executor = GraphExecutor(self.sim, ta.platform, ta.cpu, ta.decode_npu)
         executor = self._executor
         try:
             while True:

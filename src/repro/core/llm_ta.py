@@ -26,12 +26,13 @@ from typing import Dict, Optional, Union
 from ..config import PlatformSpec
 from ..errors import ConfigurationError, StorageError
 from ..faults.recovery import RecoveryPolicy
+from ..hw.common import AddrRange
 from ..llm.checkpoint import cold_init, restore_checkpoint, save_checkpoint
 from ..llm.gguf import ModelContainer, container_path
 from ..llm.graph import build_chunked_prefill_graph, build_prefill_graph
 from ..llm.kv_cache import PagedKVCache, PromptSpec
 from ..llm.models import ModelSpec
-from ..llm.runtime import DecodeResult, NPUBackend
+from ..llm.runtime import DecodeResult, TEECoDriverNPUBackend
 from ..llm.tensors import build_tensor_table
 from ..llm.tokenizer import Tokenizer
 from ..sim import Resource
@@ -39,7 +40,7 @@ from ..stack import Stack
 from ..tee.secure_memory import SecureRegion
 from ..tee.ta import TrustedApplication
 from .backends import TEERestoreBackend
-from .batch import BatchConfig, DecodeBatchEngine
+from .batch import JOB_CONTEXT_BYTES, BatchConfig, DecodeBatchEngine, data_region_bytes
 from .caching import CachePolicy, FractionCachePolicy
 from .pipeline import PipelineConfig, PipelineMetrics, PrefillPipeline
 from .restore_graph import RestorationPlan, build_restoration_plan
@@ -241,12 +242,15 @@ class LLMTA(TrustedApplication):
         self._framework_resident = False
         #: gateway-held KV block reservations awaiting their dispatch.
         self._kv_reservations: Dict[int, int] = {}
-        # Regions, plan and backend are wired by setup().
+        # Regions, plan and backends are wired by setup().
         self.plan: Optional[RestorationPlan] = None
         self.params_region: Optional[SecureRegion] = None
         self.data_region: Optional[SecureRegion] = None
         self.backend: Optional[TEERestoreBackend] = None
         self.model_key: Optional[bytes] = None
+        #: secure NPU submitters, one co-driver sequence stream each.
+        self.prefill_npu: Optional[TEECoDriverNPUBackend] = None
+        self.decode_npu: Optional[TEECoDriverNPUBackend] = None
 
     # ------------------------------------------------------------------
     # one-time setup (TA install + secure regions + key unwrap)
@@ -300,6 +304,19 @@ class LLMTA(TrustedApplication):
             self.file_path,
             self.model_key,
         )
+        # Prefill pipelines submit from the first half of the job-context
+        # area, the decode stepper from the second (§4.3).
+        half = JOB_CONTEXT_BYTES // 2
+        self.prefill_npu, self.decode_npu = (
+            TEECoDriverNPUBackend(
+                stack.tee_npu,
+                AddrRange(self.data_region.base_addr + offset, half),
+                duration_quantum=self.npu_duration_quantum,
+                job_timeout=self.recovery.npu_job_timeout,
+                max_reissues=self.recovery.npu_max_reissues,
+            )
+            for offset in (0, half)
+        )
 
     def _region_name(self, kind: str) -> str:
         return "%s:%s" % (self.model.model_id, kind)
@@ -318,14 +335,10 @@ class LLMTA(TrustedApplication):
         packed container will carry, so nothing is packed or encrypted
         before the device stack exists."""
         plan = _restoration_plan(model, build_tensor_table(model), granule, size_obfuscation)
-        # Job ctx + worst-case activation scratch, then the full KV
-        # block budget.
         batch_config = batch_config or BatchConfig(max_batch_size=1)
         budget = batch_config.resolved_budget(max_tokens)
-        block_bytes = model.kv_bytes(batch_config.block_tokens)
-        data = 4096 + model.activation_bytes(max_tokens) + budget * block_bytes
-        data = -(-data // granule) * granule
-        return plan.total_alloc_bytes, data
+        data = data_region_bytes(model, max_tokens, batch_config.block_tokens, budget)
+        return plan.total_alloc_bytes, -(-data // granule) * granule
 
     # ------------------------------------------------------------------
     # cache state
@@ -568,7 +581,7 @@ class LLMTA(TrustedApplication):
                             platform=self.platform,
                         )
                     try:
-                        yield from self._prefill(graph, engine._backend(), record, ctx)
+                        yield from self._prefill(graph, record, ctx)
                     except Exception:
                         # Under the lock, the ballooned tail the TZASC
                         # never covered can only be this pipeline's.
@@ -642,7 +655,7 @@ class LLMTA(TrustedApplication):
         record.smc_count = self.stack.board.monitor.smc_count - smc0
         return self._finish(record)
 
-    def _prefill(self, graph, npu_backend: NPUBackend, record: InferenceRecord, ctx):
+    def _prefill(self, graph, record: InferenceRecord, ctx):
         """Run the §4.1 restoration pipeline over ``graph`` from the
         record's cached prefix (generator); its metrics land on
         ``record.pipeline``."""
@@ -652,7 +665,7 @@ class LLMTA(TrustedApplication):
             graph,
             self.plan,
             self.backend,
-            npu_backend,
+            self.prefill_npu,
             cached_groups=record.cached_groups,
             config=self.pipeline_config,
             recovery=self.recovery,

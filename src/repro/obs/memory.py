@@ -46,6 +46,7 @@ import time
 from collections import Counter, deque
 from typing import Dict, List, Optional, Tuple
 
+from ..sim.trace import metadata_event
 from ..stack import set_hook
 from .alerts import BurnRateRule, ThresholdRule
 
@@ -503,14 +504,8 @@ class MemoryTimeline:
         was attached mid-run.
         """
         events: List[dict] = [
-            {
-                "ph": "M", "pid": 1, "tid": _MEM_TID,
-                "name": "thread_name", "args": {"name": "memory"},
-            },
-            {
-                "ph": "M", "pid": 1, "tid": _MEM_TID,
-                "name": "thread_sort_index", "args": {"sort_index": _MEM_TID},
-            },
+            metadata_event(_MEM_TID, "thread_name", {"name": "memory"}),
+            metadata_event(_MEM_TID, "thread_sort_index", {"sort_index": _MEM_TID}),
         ]
         for event in self._events:
             sample = event[7]

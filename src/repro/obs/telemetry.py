@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..sim.trace import metadata_event
 from .registry import DEFAULT_BUCKETS, Histogram, _fmt, _label_key
 
 __all__ = [
@@ -901,8 +902,7 @@ class TailSampler:
         )
         lane_ids = {lane: i + 1 for i, lane in enumerate(lanes)}
         events = [
-            {"ph": "M", "pid": 1, "tid": tid, "name": "thread_name",
-             "args": {"name": lane}}
+            metadata_event(tid, "thread_name", {"name": lane})
             for lane, tid in lane_ids.items()
         ]
         for trace in self.traces:

@@ -31,9 +31,17 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
+    "metadata_event",
 ]
 
 _FLOW_PHASES = ("s", "t", "f")
+
+
+def metadata_event(tid: int, name: str, args: dict) -> dict:
+    """A Chrome trace metadata event (``ph: M``, e.g. ``thread_name``) for
+    lane ``tid`` of process 1.  Viewers read no time from it, but every
+    event of the format carries ``ts``, so it is 0."""
+    return {"ph": "M", "pid": 1, "tid": tid, "ts": 0, "name": name, "args": args}
 
 
 @dataclass(frozen=True)
@@ -151,17 +159,10 @@ class Tracer:
         the viewer binds them to the enclosing spans.
         """
         lane_ids: Dict[str, int] = {lane: i + 1 for i, lane in enumerate(self.lanes())}
-        events = []
-        for lane, tid in lane_ids.items():
-            events.append(
-                {
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": lane},
-                }
-            )
+        events = [
+            metadata_event(tid, "thread_name", {"name": lane})
+            for lane, tid in lane_ids.items()
+        ]
         for span in self.spans:
             events.append(
                 {

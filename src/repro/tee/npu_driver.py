@@ -8,7 +8,9 @@ to the untrusted REE control plane and *verified*:
 * a take-over is accepted only for a job that was **initialized but not
   yet issued to the hardware** (blocks arbitrary-launch and replay);
 * each job carries a monotonic sequence number checked against the
-  execution counter (blocks reordering);
+  execution counter of its *stream*, the job execution context the TEE
+  chose (blocks reordering).  Jobs of different streams share no data:
+  their order is scheduling, which §4.3 leaves to the REE;
 * the secure-mode switch follows the paper's strict order — ❶ TZPC closes
   the NPU's MMIO to the REE and the GIC reroutes its interrupt, ❷ the
   driver waits for any in-flight non-secure job, ❸ only then does the
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..errors import IagoViolation, ProtocolError, WatchdogTimeout
 from ..hw.common import World
@@ -56,6 +59,8 @@ class SecureJobState(enum.Enum):
 @dataclass
 class SecureJobRecord:
     shadow_id: int
+    #: the job's sequence stream: its execution context's address.
+    stream: int
     seq: int
     job: NPUJob
     state: SecureJobState
@@ -82,11 +87,12 @@ class TEENPUDriver:
         self.reinit_on_switch = reinit_on_switch
         self._records: Dict[int, SecureJobRecord] = {}
         self._shadow_ids = itertools.count(1)
-        self._issue_seq = itertools.count(0)
-        self._exec_seq = 0
-        #: sequence numbers past ``_exec_seq`` that are done with: jobs
-        #: abandoned before they reached the device.
-        self._retired: Set[int] = set()
+        #: per stream: the next sequence number to issue, the next one
+        #: to execute, and the numbers past it that are done with (jobs
+        #: abandoned before they reached the device).
+        self._issue_seq: Dict[int, Iterator[int]] = defaultdict(itertools.count)
+        self._exec_seq: Dict[int, int] = defaultdict(int)
+        self._retired: Dict[int, Set[int]] = defaultdict(set)
         self._irq_done: Optional[Event] = None
         self.secure_jobs_completed = 0
         self.take_over_rejections = 0
@@ -181,14 +187,16 @@ class TEENPUDriver:
             )
             if record.state is SecureJobState.ISSUED:
                 record.state = SecureJobState.ABANDONED
-                self._retire(record.seq)
+                self._retire(record)
             raise error
 
     def init_job(self, job: NPUJob) -> SecureJobRecord:
-        """Step 1: register the execution context (not yet schedulable)."""
+        """Step 1: register the execution context (not yet schedulable);
+        the job takes the next sequence number of its context's stream."""
         record = SecureJobRecord(
             shadow_id=next(self._shadow_ids),
-            seq=next(self._issue_seq),
+            stream=job.commands.base,
+            seq=next(self._issue_seq[job.commands.base]),
             job=job,
             state=SecureJobState.INITIALIZED,
             completion=self.sim.event(),
@@ -208,12 +216,13 @@ class TEENPUDriver:
     def reissue_job(self, record: SecureJobRecord) -> SecureJobRecord:
         """Abandon a lost shadow hand-off; pair the job with a fresh one.
 
-        Replay safety: the new record keeps the job's *original* sequence
-        number (the job never executed, so ``_exec_seq`` never advanced)
-        and shares its completion event.  The abandoned shadow id stays
-        registered so a late take-over for it is *declined* — while a
-        replayed take-over for an executed (DONE) job still raises
-        :class:`IagoViolation` exactly as before.
+        Replay safety: the new record keeps the job's stream and
+        *original* sequence number (the job never executed, so the
+        stream's execution counter never advanced) and shares its
+        completion event.  The abandoned shadow id stays registered so a
+        late take-over for it is *declined* — while a replayed take-over
+        for an executed (DONE) job still raises :class:`IagoViolation`
+        exactly as before.
         """
         if record.state is not SecureJobState.ISSUED:
             raise ProtocolError(
@@ -223,6 +232,7 @@ class TEENPUDriver:
         record.state = SecureJobState.ABANDONED
         replacement = SecureJobRecord(
             shadow_id=next(self._shadow_ids),
+            stream=record.stream,
             seq=record.seq,
             job=record.job,
             state=SecureJobState.INITIALIZED,
@@ -267,17 +277,18 @@ class TEENPUDriver:
                 "take-over for job %d in state %s (replay or premature launch)"
                 % (shadow_id, record.state.value)
             )
-        if seq != record.seq or record.seq != self._exec_seq:
+        expected = self._exec_seq[record.stream]
+        if seq != record.seq or record.seq != expected:
             self.take_over_rejections += 1
             self._note_job("rejected")
             if self.recorder is not None:
                 self.recorder.record(
                     "security", "tee.npu_take_over", "sequence check failed",
-                    shadow_id=shadow_id, presented=seq, expected=self._exec_seq,
+                    shadow_id=shadow_id, presented=seq, expected=expected,
                 )
             raise IagoViolation(
                 "sequence check failed: presented %d, record %d, expected %d"
-                % (seq, record.seq, self._exec_seq)
+                % (seq, record.seq, expected)
             )
         record.state = SecureJobState.RUNNING
         yield from self._enter_secure_mode()
@@ -299,23 +310,24 @@ class TEENPUDriver:
                     )
                 yield self.sim.timeout(hang)
         yield from self._leave_secure_mode()
-        self._retire(record.seq)
+        self._retire(record)
         record.state = SecureJobState.DONE
         self.secure_jobs_completed += 1
         self._note_job("completed")
         record.completion.succeed(completed)
         return shadow_id
 
-    def _retire(self, seq: int) -> None:
-        """Mark ``seq`` done with (run, or abandoned before it reached the
-        device).  The execution counter then steps past every retired
-        number in order: a job abandoned while an earlier one is still
-        pending (several TAs share the co-driver) is skipped once that
+    def _retire(self, record: SecureJobRecord) -> None:
+        """Mark ``record``'s number done with (run, or abandoned before it
+        reached the device).  Its stream's execution counter then steps
+        past every retired number in order: a job abandoned while an
+        earlier one of its stream is still pending is skipped once that
         one has run."""
-        self._retired.add(seq)
-        while self._exec_seq in self._retired:
-            self._retired.remove(self._exec_seq)
-            self._exec_seq += 1
+        retired = self._retired[record.stream]
+        retired.add(record.seq)
+        while self._exec_seq[record.stream] in retired:
+            retired.remove(self._exec_seq[record.stream])
+            self._exec_seq[record.stream] += 1
 
     def _on_irq(self, irq: int, job: NPUJob) -> None:
         if self._irq_done is not None and not self._irq_done.triggered:

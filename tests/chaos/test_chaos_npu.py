@@ -1,11 +1,14 @@
 """Chaos: the split NPU driver under dropped hand-offs, stalls and hangs."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro import TINYLLAMA, TZLLM
+from repro.core import BatchConfig
 from repro.errors import IagoViolation
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec, RecoveryPolicy
 
 
 def test_smc_drops_recovered_by_watchdog(seed, hardened_system):
@@ -151,3 +154,73 @@ def test_job_given_up_on_does_not_stop_the_mix(codriver_mix, per_step_stepping, 
     outcomes = observed["end"]["outcomes"]
     assert "timed out" in outcomes
     assert outcomes[outcomes.index("timed out") + 1 :].count("done") > 0
+
+
+def test_dropped_hand_off_between_two_models_is_reissued():
+    """Two TAs share the co-driver, each with its own job contexts, and
+    prefill at once, so their jobs interleave at the REE.  The first
+    hand-off drops; the re-issued job keeps its number in its own stream,
+    so the other TA's jobs, presented before it, still pass the sequence
+    check."""
+    models = [TINYLLAMA, replace(TINYLLAMA, model_id="tinyllama-b")]
+    system = TZLLM(models, recovery=RecoveryPolicy.hardened(), cache_fraction=1.0)
+    for model in models:
+        system.run_infer(8, 0, model_id=model.model_id)
+    plan = FaultPlan(0, [FaultSpec("ree.smc_drop", probability=1.0, max_fires=1)])
+    plan.injector(system.sim).arm(system)
+    sim = system.sim
+    runs = [sim.process(system.infer(64, 8, model_id=m.model_id)) for m in models]
+    sim.run_until(sim.all_of(runs))
+    assert [len(run.value.decode.token_ids) for run in runs] == [8, 8]
+    assert system.stack.ree_npu.shadow_jobs_dropped == 1
+    assert system.stack.tee_npu.reissues == 1
+
+
+class DropKth:
+    """Drops the ``k``-th shadow hand-off the REE scheduler runs."""
+
+    def __init__(self, k):
+        self.k = k
+        self.checks = 0
+
+    def fires(self, site, target=None):
+        self.checks += 1
+        return self.checks == self.k
+
+    def stall_delay(self, site, target=None):
+        return 0.0
+
+
+def test_dropped_hand_off_between_prefill_and_decode_is_reissued(hardened_system):
+    """``max_batch_size=2``: request B prefills while request A decodes,
+    so the TA's prefill and decode streams both have jobs queued at the
+    REE.  Whichever hand-off of that overlap drops, the job is re-issued
+    in its own stream and both requests complete."""
+
+    def run(k):
+        system = hardened_system(
+            batch_config=BatchConfig(max_batch_size=2),
+            cache_fraction=1.0,
+            decode_use_npu=True,
+        )
+        tee, ree = system.stack.tee_npu, system.stack.ree_npu
+        ree.fault_injector = DropKth(k)
+        warm = len(tee._records)
+        sim = system.sim
+        # B waits on the prefill lock until A's prefill is done.
+        a, b = sim.process(system.infer(64, 8)), sim.process(system.infer(64, 2))
+        sim.run_until(sim.all_of([a, b]))
+        assert len(a.value.decode.token_ids) == 8
+        assert len(b.value.decode.token_ids) == 2
+        assert ree.shadow_jobs_dropped == tee.reissues == (1 if k else 0)
+        decode_ctx = system.ta.decode_npu.ctx.base
+        return [r.job.commands.base == decode_ctx for r in list(tee._records.values())[warm:]]
+
+    # Without drops, the k-th hand-off is the k-th job issued: sweep from
+    # A's first decode job to B's last prefill job.
+    decode = run(0)
+    first = decode.index(True) + 1
+    last = len(decode) - decode[::-1].index(False)
+    assert last - first > 20
+    for k in range(first, last + 1, max(1, (last - first) // 20)):
+        run(k)

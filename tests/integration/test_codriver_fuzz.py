@@ -5,7 +5,9 @@ durations and submission gaps) must always: complete every job, keep the
 sequence counter consistent, leave the device in non-secure mode, and
 never fault a legitimate job.  A second property drives random *attack*
 schedules and requires every illegitimate take-over to be rejected
-without wedging subsequent legitimate traffic.
+without wedging subsequent legitimate traffic.  A third interleaves two
+job contexts (two sequence streams) under dropped hand-offs: every job
+completes, and a reorder within one context still raises.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.config import MiB, RK3588
 from repro.errors import IagoViolation
+from repro.faults import FaultPlan, FaultSpec
 from repro.hw import AddrRange, NPUJob, World
 from repro.stack import build_stack
 
@@ -86,7 +89,7 @@ def test_random_interleavings_all_complete(schedule):
     n_secure = sum(1 for s, _d, _g in schedule if s)
     assert len(outcomes) == len(schedule)
     assert stack.tee_npu.secure_jobs_completed == n_secure
-    assert stack.tee_npu._exec_seq == n_secure
+    assert stack.tee_npu._exec_seq[16 * MiB] == n_secure
     assert stack.board.npu.jobs_faulted == 0
     assert stack.board.npu.jobs_completed == len(schedule)
     # The device always ends non-secure with no dangling grants.
@@ -119,7 +122,7 @@ def test_random_attacks_rejected_without_wedging(attacks):
                 last_record.shadow_id, last_record.seq
             )
         elif attack == "forge":
-            gen = stack.ree_npu.attack_forge_take_over(999, stack.tee_npu._exec_seq)
+            gen = stack.ree_npu.attack_forge_take_over(999, stack.tee_npu._exec_seq[16 * MiB])
         else:
             gen = stack.ree_npu.attack_forge_take_over(
                 last_record.shadow_id, last_record.seq + 7
@@ -133,3 +136,85 @@ def test_random_attacks_rejected_without_wedging(attacks):
     proc = sim.process(run_legit())
     sim.run_until(proc)
     assert stack.tee_npu.secure_jobs_completed == 2
+
+
+def context_job(ctx, duration):
+    """A secure job whose execution context is the 2 KiB at ``ctx``."""
+    return NPUJob(
+        duration=duration,
+        commands=AddrRange(ctx, 64),
+        io_pagetable=AddrRange(ctx + 512, 64),
+        inputs=[AddrRange(ctx + 1024, 64)],
+        outputs=[AddrRange(ctx + 1536, 64)],
+    )
+
+
+@given(
+    jobs=st.lists(
+        st.tuples(
+            st.sampled_from([0, 1]),  # context
+            st.floats(min_value=0.0005, max_value=0.02),  # duration
+            st.floats(min_value=0.0, max_value=0.01),  # gap before submit
+        ),
+        min_size=2,
+        max_size=12,
+    ),
+    drops=st.integers(min_value=0, max_value=4),
+    drop_probability=st.floats(min_value=0.1, max_value=1.0),
+    fault_seed=st.integers(min_value=0, max_value=2**16),
+    victim=st.sampled_from([0, 1]),
+)
+@settings(max_examples=20, deadline=None)
+def test_two_contexts_interleave_under_dropped_hand_offs(
+    jobs, drops, drop_probability, fault_seed, victim
+):
+    """Each context submits its jobs one at a time, as a TA's prefill
+    pipelines and decode stepper do, and the REE interleaves the two
+    streams as it schedules them.  A dropped hand-off is re-issued in its
+    own stream and every job completes; presenting a context's second job
+    before its first still raises."""
+    stack = make_stack()
+    sim = stack.sim
+    tee, ree = stack.tee_npu, stack.ree_npu
+    spec = FaultSpec("ree.smc_drop", probability=drop_probability, max_fires=drops)
+    FaultPlan(fault_seed, [spec]).injector(sim).arm(stack)
+    contexts = (16 * MiB, 16 * MiB + 2048)
+
+    def submitter(ctx, schedule):
+        for duration, gap in schedule:
+            if gap:
+                yield sim.timeout(gap)
+            yield from tee.submit_secure_job(
+                context_job(ctx, duration), timeout=0.1, max_reissues=drops
+            )
+
+    runs = [
+        sim.process(submitter(ctx, [(d, g) for c, d, g in jobs if c == i]))
+        for i, ctx in enumerate(contexts)
+    ]
+    sim.run_until(sim.all_of(runs))
+    assert tee.secure_jobs_completed == len(jobs)
+    for i, ctx in enumerate(contexts):
+        assert tee._exec_seq[ctx] == sum(1 for c, _d, _g in jobs if c == i)
+    assert tee.reissues == ree.shadow_jobs_dropped
+    assert stack.board.npu.jobs_faulted == 0
+    assert stack.board.tzpc.device_world("npu") is N
+
+    # Queue both contexts' jobs behind a long REE job, the victim's two
+    # first, then reverse the queue: the other context's job runs, the
+    # victim's second job is presented before its first and raises.
+    tee.fault_injector = ree.fault_injector = None
+    first, second = (tee.init_job(context_job(contexts[victim], 0.001)) for _ in range(2))
+    other = tee.init_job(context_job(contexts[1 - victim], 0.001))
+
+    def queue_then_reorder():
+        ree.submit(nonsecure_job(0.05))
+        for record in (first, second, other):
+            yield from tee.issue_job(record)
+        ree.attack_reorder_queue()
+
+    sim.process(queue_then_reorder())
+    with pytest.raises(IagoViolation, match="sequence"):
+        sim.run()
+    assert other.completion.triggered
+    assert not first.completion.triggered
